@@ -3,173 +3,141 @@
 Subcommands: ``gen-roi`` (synthetic cloud to CSV), ``precompute``
 (coverage cache for one side), ``solve`` (full pipeline), ``report``
 (re-aggregate stored selections), ``export-lp`` and ``export-qubo``
-(model files for external solvers).  Flags mirror the run-config
-fields; when ``--config`` names a YAML file its values override the
-flags.
+(model files for external solvers).  Every subcommand turns its flags
+into a :class:`RunConfig` the same way and resolves its instance
+through the pipeline.  Flags take their defaults from the dataclasses;
+when ``--config`` names a YAML file its values override the flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import yaml
 
-from .coverage import build_coverage, coverage_cache_key, save_coverage
-from .errors import SensorPlaceError
+from .errors import ConfigError, SensorPlaceError
 from .exports import write_fixed_count_lp, write_iqp_lp, write_qubo_coo
 from .fixed_count import make_problem
-from .geometry import (
-    DEFAULT_CATALOG,
-    PlacementGrid,
-    Side,
-    SIDE_ORDER,
-    VehicleModel,
-    enumerate_configs,
-    partition_roi,
+from .geometry import Side, SIDE_ORDER, VehicleModel
+from .pipeline import (
+    RunConfig,
+    _prepare_side,
+    _resolve_catalog,
+    _resolve_cloud,
+    config_from_dict,
+    load_selections,
+    run,
 )
-from .pipeline import RunConfig, config_from_dict, config_to_dict, load_selections, run
 from .reporting import aggregate, write_adherence_csv, write_aggregate_csv
-from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_catalog, load_roi, save_roi
+from .roi import SyntheticRoiSpec, generate_synthetic_roi, save_roi
 from .setcover import build_iqp
+
+#: Every flag default is read from here, so none is written twice.
+_DEFAULTS = RunConfig()
+
+
+def _add_spec_args(p: argparse.ArgumentParser, spec: str, names, flag_prefix: str) -> None:
+    """One flag per named field of the nested ``RunConfig`` spec, typed by its default."""
+    for name in names:
+        default = getattr(getattr(_DEFAULTS, spec), name)
+        p.add_argument(
+            f"--{flag_prefix}{name}", dest=f"{spec}_{name}", metavar=name.upper(),
+            type=type(default), default=default,
+        )
 
 
 def _add_vehicle_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vehicle-length", type=float, default=4.5)
-    p.add_argument("--vehicle-width", type=float, default=1.8)
-    p.add_argument("--vehicle-height", type=float, default=1.5)
-
-
-def _vehicle(args) -> VehicleModel:
-    return VehicleModel(args.vehicle_length, args.vehicle_width, args.vehicle_height)
+    _add_spec_args(p, "vehicle", ("length", "width", "height"), "vehicle-")
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
     _add_vehicle_args(p)
-    p.add_argument("--roi", help="cloud CSV (x,y,z,criticality)")
-    p.add_argument("--synthetic-extent", type=float, default=10.0)
-    p.add_argument("--synthetic-spacing", type=float, default=0.5)
-    p.add_argument("--synthetic-profile", default="inverse_distance(4.0)")
-    p.add_argument("--synthetic-seed", type=int, default=0)
-    p.add_argument("--catalog", help="sensor catalog YAML (default: built-in four types)")
-    p.add_argument("--grid", default="4x4", help="per-side grid as HxV, e.g. 4x4")
+    p.add_argument("--roi", dest="roi_path", help="cloud CSV (x,y,z,criticality)")
+    _add_spec_args(p, "synthetic", ("extent", "spacing", "profile", "seed"), "synthetic-")
+    p.add_argument("--catalog", dest="catalog_path", help="sensor catalog YAML (default: built-in four types)")
+    p.add_argument("--grid", default="x".join(map(str, _DEFAULTS.grid)), help="per-side grid as HxV, e.g. 4x4")
     p.add_argument(
         "--orientations",
-        default="fixed",
-        help="'fixed' (perpendicular only), 'free' (per-side angle sets), or comma-separated degrees",
+        dest="orientation_mode",
+        metavar="MODE",
+        default=_DEFAULTS.orientation_mode,
+        help="'fixed' (perpendicular only), 'free' (per-side angle sets), or comma-separated "
+        "degrees for every side",
     )
     p.add_argument("--side", default="front", choices=[s.value for s in SIDE_ORDER])
-    p.add_argument("--coverage-weight", type=float, default=1.0)
-    p.add_argument("--cost-weight", type=float, default=1e-4)
-    p.add_argument("--fov-model", default="elliptical", choices=["elliptical", "independent"])
+    p.add_argument("--coverage-weight", type=float, default=_DEFAULTS.coverage_weight)
+    p.add_argument("--cost-weight", type=float, default=_DEFAULTS.cost_weight)
+    p.add_argument("--fov-model", default=_DEFAULTS.fov_model, choices=["elliptical", "independent"])
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    h, _, v = text.lower().partition("x")
+    h, sep, v = text.lower().partition("x")
+    if not (sep and h.isdigit() and v.isdigit() and int(h) > 0 and int(v) > 0):
+        raise ConfigError(f"--grid expects two positive counts as HxV, e.g. 4x4; got {text!r}")
     return int(h), int(v)
 
 
-def _side_instance(args):
-    """(cloud, catalog, side grid, candidates, coverage data) for one side."""
-    vehicle = _vehicle(args)
-    catalog = load_catalog(args.catalog) if args.catalog else DEFAULT_CATALOG
-    if args.roi:
-        cloud = load_roi(args.roi)
-    else:
-        cloud = generate_synthetic_roi(
-            SyntheticRoiSpec(
-                extent=args.synthetic_extent,
-                spacing=args.synthetic_spacing,
-                profile=args.synthetic_profile,
-                seed=args.synthetic_seed,
-            ),
-            vehicle,
-        )
-    cloud = partition_roi(cloud, vehicle)
-    side = Side(args.side)
-    h, v = _parse_grid(args.grid)
-    if args.orientations == "fixed":
-        orients: tuple[float, ...] = (0.0,)
-    elif args.orientations == "free":
-        from .pipeline import DEFAULT_FREE_ORIENTATIONS
+def _flag_values(args, cls, prefix: str = "") -> dict:
+    """Parsed flags whose destination is ``prefix`` plus a field name of ``cls``."""
+    values = {f.name: getattr(args, prefix + f.name, None) for f in fields(cls)}
+    return {name: value for name, value in values.items() if value is not None}
 
-        orients = DEFAULT_FREE_ORIENTATIONS[side]
-    else:
-        orients = tuple(float(a) for a in args.orientations.split(","))
-    grid = PlacementGrid(side, h, v, orients)
-    configs = enumerate_configs(catalog, vehicle, grid)
-    data = build_coverage(cloud.side_cloud(side), configs, catalog, args.fov_model)
-    return cloud, catalog, grid, configs, data
+
+def _run_config(args) -> RunConfig:
+    """The ``RunConfig`` of the flags; absent flags keep the dataclass defaults.
+
+    Values of a ``--config`` YAML file override the flags.  An angle
+    list given to ``--orientations`` applies to every side.
+    """
+    values = _flag_values(args, RunConfig)
+    values["vehicle"] = _flag_values(args, VehicleModel, "vehicle_")
+    values["synthetic"] = (
+        None if "roi_path" in values else _flag_values(args, SyntheticRoiSpec, "synthetic_")
+    )
+    if "grid" in values:
+        values["grid"] = _parse_grid(values["grid"])
+    if values.get("orientation_mode") not in (None, "fixed", "free"):
+        angles = values.pop("orientation_mode").split(",")
+        values["orientations"] = {side.value: angles for side in SIDE_ORDER}
+    if hasattr(args, "min_sensors"):
+        values["sensor_counts"] = list(range(args.min_sensors, args.max_sensors + 1))
+    if getattr(args, "config", None):
+        doc = yaml.safe_load(Path(args.config).read_text()) or {}
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{args.config}: expected a mapping of run-config fields")
+        if "orientation_mode" in doc:
+            values.pop("orientations", None)
+        values.update(doc)  # file values override flags
+    return config_from_dict(values)
+
+
+def _side_instance(args):
+    """(config, catalog, coverage data) of the ``--side`` face, built by the pipeline."""
+    config = _run_config(args)
+    catalog = _resolve_catalog(config)
+    side = _prepare_side(config, _resolve_cloud(config), catalog, Side(args.side))
+    return config, catalog, side.data
 
 
 def _cmd_gen_roi(args) -> int:
-    spec = SyntheticRoiSpec(
-        extent=args.extent,
-        spacing=args.spacing,
-        profile=args.profile,
-        seed=args.seed,
-        z_levels=tuple(float(z) for z in args.z_levels.split(",")),
-    )
-    cloud = generate_synthetic_roi(spec, _vehicle(args))
+    config = _run_config(args)
+    cloud = generate_synthetic_roi(config.synthetic, config.vehicle)
     save_roi(cloud, args.out)
     print(f"wrote {len(cloud)} points to {args.out}")
     return 0
 
 
 def _cmd_precompute(args) -> int:
-    cloud, catalog, grid, configs, data = _side_instance(args)
-    side_cloud = cloud.side_cloud(grid.side)
-    key = coverage_cache_key(side_cloud, configs, catalog, args.fov_model)
-    out_dir = Path(args.cache_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"coverage_{key}.npz"
-    save_coverage(data, path)
-    print(f"cached {data.num_configs} x {data.num_points} coverage to {path}")
+    config, _catalog, data = _side_instance(args)
+    print(f"cached {data.num_configs} x {data.num_points} coverage in {config.cache_dir}")
     return 0
 
 
 def _cmd_solve(args) -> int:
-    base = RunConfig(
-        approach=args.approach,
-        solvers=tuple(args.solver),
-        catalog_path=args.catalog,
-        roi_path=args.roi,
-        synthetic=None
-        if args.roi
-        else SyntheticRoiSpec(
-            extent=args.synthetic_extent,
-            spacing=args.synthetic_spacing,
-            profile=args.synthetic_profile,
-            seed=args.synthetic_seed,
-        ),
-        vehicle=_vehicle(args),
-        grid=_parse_grid(args.grid),
-        orientation_mode=args.orientations if args.orientations in ("fixed", "free") else "fixed",
-        sensor_counts=tuple(range(args.min_sensors, args.max_sensors + 1)),
-        coverage_weight=args.coverage_weight,
-        cost_weight=args.cost_weight,
-        seed=args.seed,
-        num_stochastic_runs=args.runs,
-        shots=args.shots,
-        anneal_reads=args.anneal_reads,
-        anneal_sweeps=args.anneal_sweeps,
-        vqe_layers=args.vqe_layers,
-        vqe_max_evals=args.vqe_max_evals,
-        fov_model=args.fov_model,
-        output_dir=args.outdir,
-        cache_dir=args.cache_dir,
-        dump_samples=args.dump_samples,
-        dump_traces=args.dump_traces,
-    )
-    if args.config:
-        doc = yaml.safe_load(Path(args.config).read_text()) or {}
-        merged = config_to_dict(base)
-        merged.update(doc)  # file values override flags
-        config = config_from_dict(merged)
-    else:
-        config = base
-    outputs = run(config)
+    outputs = run(_run_config(args))
     for solver, report in sorted(outputs.reports.items()):
         print(
             f"{solver}: aggregate coverage {report.aggregate_coverage:.4f}, "
@@ -180,12 +148,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    vehicle = _vehicle(args)
-    catalog = load_catalog(args.catalog) if args.catalog else DEFAULT_CATALOG
-    cloud = partition_roi(load_roi(args.roi), vehicle)
+    config = _run_config(args)
+    catalog, cloud = _resolve_catalog(config), _resolve_cloud(config)
     selections = load_selections(args.selections)
     reports = {solver: aggregate(per_side, cloud, catalog) for solver, per_side in selections.items()}
-    out = Path(args.outdir)
+    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_aggregate_csv(out / "aggregate.csv", reports)
     write_adherence_csv(out / "adherence.csv", reports)
@@ -194,28 +161,28 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    _cloud, catalog, _grid, _configs, data = _side_instance(args)
+    config, catalog, data = _side_instance(args)
     with open(args.out, "w") as fh:
-        if args.approach == "fixed_count":
+        if config.approach == "fixed_count":
             problem = make_problem(
                 data, catalog, num_sensors=args.num_sensors,
-                coverage_weight=args.coverage_weight, cost_weight=args.cost_weight,
+                coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
             )
             write_fixed_count_lp(fh, problem)
         else:
             model = build_iqp(
                 data, catalog,
-                coverage_weight=args.coverage_weight, cost_weight=args.cost_weight,
+                coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
             )
             write_iqp_lp(fh, model, data)
-    print(f"wrote {args.approach} LP model to {args.out}")
+    print(f"wrote {config.approach} LP model to {args.out}")
     return 0
 
 
 def _cmd_export_qubo(args) -> int:
-    _cloud, catalog, _grid, _configs, data = _side_instance(args)
+    config, catalog, data = _side_instance(args)
     model = build_iqp(
-        data, catalog, coverage_weight=args.coverage_weight, cost_weight=args.cost_weight
+        data, catalog, coverage_weight=config.coverage_weight, cost_weight=config.cost_weight
     )
     with open(args.out, "w") as fh:
         write_qubo_coo(fh, model)
@@ -233,11 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-roi", help="generate a synthetic region-of-interest CSV")
     _add_vehicle_args(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--extent", type=float, default=10.0)
-    p.add_argument("--spacing", type=float, default=0.5)
-    p.add_argument("--profile", default="inverse_distance(4.0)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--z-levels", default="1.0")
+    _add_spec_args(p, "synthetic", ("extent", "spacing", "profile", "seed"), "")
+    p.add_argument(
+        "--z-levels", dest="synthetic_z_levels", type=lambda text: text.split(","),
+        default=_DEFAULTS.synthetic.z_levels, help="comma-separated heights",
+    )
     p.set_defaults(fn=_cmd_gen_roi)
 
     p = sub.add_parser("precompute", help="build and cache coverage for one side")
@@ -248,21 +215,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the full pipeline over all sides")
     _add_instance_args(p)
     p.add_argument("--config", help="YAML run config; file values override flags")
-    p.add_argument("--approach", default="fixed_count", choices=["fixed_count", "setcover"])
+    p.add_argument("--approach", default=_DEFAULTS.approach, choices=["fixed_count", "setcover"])
     p.add_argument(
-        "--solver", action="append", default=None,
+        "--solver", dest="solvers", metavar="SOLVER", action="append",
         help="repeatable; fixed_count: exhaustive/greedy/vqe, setcover: exhaustive/anneal/vqe",
     )
-    p.add_argument("--min-sensors", type=int, default=1)
-    p.add_argument("--max-sensors", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=10, help="stochastic-solver repetitions")
-    p.add_argument("--shots", type=int, default=1000)
-    p.add_argument("--anneal-reads", type=int, default=1000)
-    p.add_argument("--anneal-sweeps", type=int, default=1000)
-    p.add_argument("--vqe-layers", type=int, default=3)
-    p.add_argument("--vqe-max-evals", type=int, default=500)
-    p.add_argument("--outdir", default="runs/out")
+    p.add_argument("--min-sensors", type=int, default=min(_DEFAULTS.sensor_counts))
+    p.add_argument("--max-sensors", type=int, default=max(_DEFAULTS.sensor_counts))
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument(
+        "--runs", dest="num_stochastic_runs", type=int,
+        default=_DEFAULTS.num_stochastic_runs, help="stochastic-solver repetitions",
+    )
+    for name in ("shots", "anneal_reads", "anneal_sweeps", "vqe_layers", "vqe_max_evals"):
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(_DEFAULTS, name))
+    p.add_argument("--outdir", dest="output_dir", default=_DEFAULTS.output_dir)
     p.add_argument("--cache-dir")
     p.add_argument("--dump-samples", action="store_true")
     p.add_argument("--dump-traces", action="store_true")
@@ -271,14 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="recompute aggregate and adherence from stored selections")
     _add_vehicle_args(p)
     p.add_argument("--selections", required=True, help="selections.json written by solve")
-    p.add_argument("--roi", required=True)
-    p.add_argument("--catalog")
-    p.add_argument("--outdir", default="runs/report")
+    p.add_argument("--roi", dest="roi_path", required=True)
+    p.add_argument("--catalog", dest="catalog_path")
+    p.add_argument("--outdir", dest="output_dir", default="runs/report")
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("export-lp", help="write an LP model file")
     _add_instance_args(p)
-    p.add_argument("--approach", default="fixed_count", choices=["fixed_count", "setcover"])
+    p.add_argument("--approach", default=_DEFAULTS.approach, choices=["fixed_count", "setcover"])
     p.add_argument("--num-sensors", type=int, default=2)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_export_lp)
@@ -292,10 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "solve" and not args.solver:
-        args.solver = ["exhaustive"]
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except SensorPlaceError as exc:

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import EmptyCloudError
-from .geometry import RoiCloud, SensorConfig, SensorSpec, Side, fov_mask
+from .geometry import RoiCloud, SensorConfig, SensorSpec, fov_mask
 
 COVERAGE_CACHE_VERSION = 1
 
@@ -154,17 +154,7 @@ def coverage_cache_key(
 
 
 def save_coverage(data: CoverageData, path) -> None:
-    configs_json = json.dumps(
-        [
-            {
-                "type_index": c.type_index,
-                "position": list(c.position),
-                "orientation": c.orientation,
-                "side": c.side.value,
-            }
-            for c in data.configs
-        ]
-    )
+    configs_json = json.dumps([c.to_dict() for c in data.configs])
     np.savez_compressed(
         path,
         version=COVERAGE_CACHE_VERSION,
@@ -181,15 +171,7 @@ def load_coverage(path) -> CoverageData:
     with np.load(path, allow_pickle=False) as z:
         if int(z["version"]) != COVERAGE_CACHE_VERSION:
             raise ValueError(f"unsupported coverage cache version {int(z['version'])}")
-        configs = tuple(
-            SensorConfig(
-                type_index=int(c["type_index"]),
-                position=tuple(float(x) for x in c["position"]),
-                orientation=float(c["orientation"]),
-                side=Side(c["side"]),
-            )
-            for c in json.loads(str(z["configs"]))
-        )
+        configs = tuple(SensorConfig.from_dict(c) for c in json.loads(str(z["configs"])))
         return CoverageData(
             masks=z["masks"].astype(bool),
             singles=z["singles"],

@@ -162,6 +162,24 @@ class SensorConfig:
     orientation: float
     side: Side
 
+    def to_dict(self) -> dict:
+        """JSON-ready form, as stored in coverage caches and ``selections.json``."""
+        return {
+            "type_index": self.type_index,
+            "position": list(self.position),
+            "orientation": self.orientation,
+            "side": self.side.value,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SensorConfig":
+        return cls(
+            type_index=int(d["type_index"]),
+            position=tuple(float(x) for x in d["position"]),
+            orientation=float(d["orientation"]),
+            side=Side(d["side"]),
+        )
+
 
 @dataclass(frozen=True)
 class RoiPoint:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +53,8 @@ from .reporting import (
     write_sweep_csv,
 )
 from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_catalog, load_roi
-from .setcover import build_iqp, solve_exhaustive_qubo, to_ising
-from .vqe import EncodingMap, OptimizerConfig, vqe_fixed_count, vqe_ising
+from .setcover import DEFAULT_QUBO_ENUMERATION_BITS, build_iqp, solve_exhaustive_qubo, to_ising
+from .vqe import MAX_QUBITS, EncodingMap, OptimizerConfig, vqe_fixed_count, vqe_ising
 
 #: Orientation sets tilted toward the region each side actually faces
 #: (negative = clockwise from above).
@@ -111,7 +111,7 @@ class RunConfig:
 
 
 def validate_config(config: RunConfig) -> None:
-    """Reject invalid approach/solver pairings before any compute."""
+    """Reject invalid pairings, grids and solver size overruns before any compute."""
     if config.approach not in APPROACH_SOLVERS:
         raise ConfigError(f"unknown approach {config.approach!r}")
     if not config.solvers:
@@ -127,7 +127,30 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("exactly one of roi_path and synthetic must be given")
     if config.approach == "fixed_count" and not config.sensor_counts:
         raise ConfigError("fixed_count needs a nonempty sensor_counts sweep")
-    config.side_orientations(Side.FRONT)  # validates the orientation mode
+    if len(config.grid) != 2 or min(config.grid) < 1:
+        raise ConfigError(f"grid must be two positive cell counts, got {config.grid!r}")
+    # solver size caps, checked per side before any coverage is built
+    h, v = config.grid
+    num_types = len(_resolve_catalog(config))
+    for side in SIDE_ORDER:
+        num_orients = len(config.side_orientations(side))  # validates the orientation mode
+        candidates = h * v * num_types * num_orients
+        if "vqe" in config.solvers:
+            if config.approach == "setcover":
+                qubits = candidates
+            else:
+                qubits = EncodingMap(h, v, num_types, num_orients).num_qubits
+            if qubits > MAX_QUBITS:
+                raise ConfigError(
+                    f"vqe on side {side.value} needs {qubits} qubits; the simulator is "
+                    f"capped at {MAX_QUBITS}"
+                )
+        if config.approach == "setcover" and "exhaustive" in config.solvers \
+                and candidates > DEFAULT_QUBO_ENUMERATION_BITS:
+            raise ConfigError(
+                f"exhaustive QUBO search on side {side.value} needs {candidates} bits; "
+                f"it is capped at {DEFAULT_QUBO_ENUMERATION_BITS}"
+            )
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -136,81 +159,56 @@ def derive_seed(base: int, *parts) -> int:
     return int.from_bytes(h[:8], "big") >> 1
 
 
+def _plain(value):
+    """JSON-ready form of a config value: dataclasses become dicts, tuples lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {getattr(k, "value", k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _spec_from_dict(cls, d: dict):
+    """A nested spec (cloud, vehicle) with each value coerced to its default's type."""
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(sorted(unknown))}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d:
+            kind = type(f.default)
+            if kind is tuple:
+                kwargs[f.name] = tuple(type(f.default[0])(x) for x in d[f.name])
+            else:
+                kwargs[f.name] = kind(d[f.name])
+    return cls(**kwargs)
+
+
 def config_to_dict(config: RunConfig) -> dict:
-    d = {
-        "approach": config.approach,
-        "solvers": list(config.solvers),
-        "catalog_path": config.catalog_path,
-        "roi_path": config.roi_path,
-        "synthetic": None
-        if config.synthetic is None
-        else {
-            "extent": config.synthetic.extent,
-            "spacing": config.synthetic.spacing,
-            "profile": config.synthetic.profile,
-            "seed": config.synthetic.seed,
-            "z_levels": list(config.synthetic.z_levels),
-        },
-        "vehicle": {
-            "length": config.vehicle.length,
-            "width": config.vehicle.width,
-            "height": config.vehicle.height,
-            "origin": list(config.vehicle.origin),
-        },
-        "grid": list(config.grid),
-        "orientation_mode": config.orientation_mode,
-        "orientations": None
-        if config.orientations is None
-        else {s.value: list(v) for s, v in config.orientations.items()},
-        "sensor_counts": list(config.sensor_counts),
-        "coverage_weight": config.coverage_weight,
-        "cost_weight": config.cost_weight,
-        "seed": config.seed,
-        "num_stochastic_runs": config.num_stochastic_runs,
-        "shots": config.shots,
-        "anneal_reads": config.anneal_reads,
-        "anneal_sweeps": config.anneal_sweeps,
-        "vqe_layers": config.vqe_layers,
-        "vqe_max_evals": config.vqe_max_evals,
-        "fov_model": config.fov_model,
-        "output_dir": config.output_dir,
-        "cache_dir": config.cache_dir,
-        "dump_samples": config.dump_samples,
-        "dump_traces": config.dump_traces,
-    }
-    return d
+    """JSON-ready form of a run config, as written to ``manifest.json``."""
+    return _plain(config)
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    kwargs = dict(d)
-    if kwargs.get("synthetic") is not None:
-        s = kwargs["synthetic"]
-        kwargs["synthetic"] = SyntheticRoiSpec(
-            extent=float(s.get("extent", 10.0)),
-            spacing=float(s.get("spacing", 0.5)),
-            profile=str(s.get("profile", "inverse_distance(4.0)")),
-            seed=int(s.get("seed", 0)),
-            z_levels=tuple(float(z) for z in s.get("z_levels", (1.0,))),
-        )
-    if kwargs.get("vehicle") is not None and isinstance(kwargs.get("vehicle"), dict):
-        v = kwargs["vehicle"]
-        kwargs["vehicle"] = VehicleModel(
-            length=float(v.get("length", 4.5)),
-            width=float(v.get("width", 1.8)),
-            height=float(v.get("height", 1.5)),
-            origin=tuple(float(x) for x in v.get("origin", (0.0, 0.0, 0.0))),
-        )
-    if kwargs.get("orientations") is not None:
-        kwargs["orientations"] = {
-            Side(k): tuple(float(a) for a in v) for k, v in kwargs["orientations"].items()
-        }
-    for key in ("solvers", "sensor_counts", "grid"):
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = tuple(kwargs[key])
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = set(kwargs) - known
+    """Inverse of :func:`config_to_dict`; absent keys keep the dataclass defaults."""
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    unknown = set(d) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    kwargs = {}
+    try:
+        for name, value in d.items():
+            if isinstance(value, dict) and is_dataclass(defaults[name]):
+                value = _spec_from_dict(type(defaults[name]), value)
+            elif name == "orientations" and value is not None:
+                value = {Side(k): tuple(float(a) for a in v) for k, v in value.items()}
+            elif isinstance(value, list):
+                value = tuple(value)
+            kwargs[name] = value
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config value: {exc}") from None
     return RunConfig(**kwargs)
 
 
@@ -242,20 +240,16 @@ def _resolve_catalog(config: RunConfig):
     return load_catalog(config.catalog_path) if config.catalog_path else DEFAULT_CATALOG
 
 
-def _prepare_sides(config: RunConfig, cloud: RoiCloud, catalog) -> dict[Side, SideArtifacts]:
-    sides: dict[Side, SideArtifacts] = {}
-    for side in SIDE_ORDER:
-        grid = PlacementGrid(
-            side, config.grid[0], config.grid[1], config.side_orientations(side)
-        )
-        configs = enumerate_configs(catalog, config.vehicle, grid)
-        side_cloud = cloud.side_cloud(side)
-        if config.cache_dir:
-            data = cached_coverage(side_cloud, configs, catalog, config.cache_dir, config.fov_model)
-        else:
-            data = build_coverage(side_cloud, configs, catalog, config.fov_model)
-        sides[side] = SideArtifacts(side, side_cloud, configs, data)
-    return sides
+def _prepare_side(config: RunConfig, cloud: RoiCloud, catalog, side: Side) -> SideArtifacts:
+    """Candidates and coverage of one side (cached when ``cache_dir`` is set)."""
+    grid = PlacementGrid(side, config.grid[0], config.grid[1], config.side_orientations(side))
+    configs = enumerate_configs(catalog, config.vehicle, grid)
+    side_cloud = cloud.side_cloud(side)
+    if config.cache_dir:
+        data = cached_coverage(side_cloud, configs, catalog, config.cache_dir, config.fov_model)
+    else:
+        data = build_coverage(side_cloud, configs, catalog, config.fov_model)
+    return SideArtifacts(side, side_cloud, configs, data)
 
 
 def _solve_fixed_count(
@@ -380,15 +374,7 @@ def _write_selections(path: Path, reports: dict[str, AggregateReport]) -> None:
                 "solver_tag": r.solver_tag,
                 "feasible": r.feasible,
                 "seed": r.seed,
-                "configs": [
-                    {
-                        "type_index": c.type_index,
-                        "position": list(c.position),
-                        "orientation": c.orientation,
-                        "side": c.side.value,
-                    }
-                    for c in r.configs
-                ],
+                "configs": [c.to_dict() for c in r.configs],
             }
             for side, r in report.per_side.items()
         }
@@ -401,15 +387,6 @@ def load_selections(path) -> dict[str, dict[Side, SelectionResult]]:
     for solver, sides in doc.items():
         out[solver] = {}
         for side_name, r in sides.items():
-            configs = tuple(
-                SensorConfig(
-                    type_index=int(c["type_index"]),
-                    position=tuple(float(x) for x in c["position"]),
-                    orientation=float(c["orientation"]),
-                    side=Side(c["side"]),
-                )
-                for c in r["configs"]
-            )
             out[solver][Side(side_name)] = SelectionResult(
                 selected=tuple(int(i) for i in r["selected"]),
                 coverage=float(r["coverage"]),
@@ -417,7 +394,7 @@ def load_selections(path) -> dict[str, dict[Side, SelectionResult]]:
                 objective=float(r["objective"]),
                 solver_tag=str(r["solver_tag"]),
                 feasible=bool(r["feasible"]),
-                configs=configs,
+                configs=tuple(SensorConfig.from_dict(c) for c in r["configs"]),
                 seed=r.get("seed"),
             )
     return out
@@ -436,7 +413,7 @@ def run(config: RunConfig) -> RunOutputs:
 
     catalog = _resolve_catalog(config)
     cloud = _resolve_cloud(config)
-    sides = _prepare_sides(config, cloud, catalog)
+    sides = {side: _prepare_side(config, cloud, catalog, side) for side in SIDE_ORDER}
 
     reports: dict[str, AggregateReport] = {}
     sweep_rows: list[SweepRow] = []

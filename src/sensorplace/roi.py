@@ -1,8 +1,9 @@
 """Region-of-interest ingestion, persistence, and synthetic generation.
 
 The on-disk cloud format is CSV with the exact header
-``x,y,z,criticality``.  Criticalities outside [0, 1] are rejected with
-their 1-based line number.  The sensor catalog is a small YAML file::
+``x,y,z,criticality``.  Non-finite coordinates and criticalities outside
+[0, 1] are rejected with their 1-based line number.  The sensor catalog
+is a small YAML file::
 
     sensors:
       - {name: lidar, alpha_h: 80, alpha_v: 40, range: 120, cost: 200}
@@ -47,6 +48,8 @@ def load_roi(path) -> RoiCloud:
                 x, y, z, c = (float(v) for v in row)
             except ValueError:
                 raise RoiParseError(line, f"non-numeric field in {row!r}") from None
+            if not np.isfinite((x, y, z)).all():
+                raise RoiParseError(line, f"non-finite coordinate in {row!r}")
             if not 0.0 <= c <= 1.0:
                 raise RoiParseError(line, f"criticality {c} outside [0, 1]")
             rows.append((x, y, z, c))

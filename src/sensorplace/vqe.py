@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import optimize as sciopt
 
 from .coverage import CoverageData
 from .errors import InsufficientSupportError
@@ -307,7 +306,11 @@ def _minimize_multistart(fn, num_params: int, cfg: OptimizerConfig, rng: np.rand
 
     ``fn`` is responsible for tracking its own best-ever value; this
     driver only spends the budget.  Returns the number of evaluations.
+    No COBYLA start is made on fewer evaluations than its minimum of
+    ``num_params + 2``, so the total never exceeds ``max_evals``.
     """
+    from scipy import optimize as sciopt  # deferred: importing scipy.optimize is slow
+
     evals = 0
 
     def counted(theta):
@@ -316,8 +319,10 @@ def _minimize_multistart(fn, num_params: int, cfg: OptimizerConfig, rng: np.rand
         return fn(theta)
 
     while evals < cfg.max_evals:
-        x0 = rng.uniform(-np.pi, np.pi, num_params)
         start_budget = min(cfg.max_evals_per_start, cfg.max_evals - evals)
+        if cfg.method == "cobyla" and start_budget < num_params + 2:
+            break
+        x0 = rng.uniform(-np.pi, np.pi, num_params)
         if cfg.method == "cobyla":
             sciopt.minimize(
                 counted,

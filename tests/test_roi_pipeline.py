@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import yaml
 
-from sensorplace.cli import main as cli_main
+from sensorplace import pipeline
+from sensorplace.cli import _run_config, build_parser, main as cli_main
 from sensorplace.errors import ConfigError, EmptyFileError, RoiParseError
 from sensorplace.geometry import DEFAULT_CATALOG, Side, VehicleModel
 from sensorplace.pipeline import (
@@ -61,6 +63,14 @@ class TestRoiFileIo:
     def test_non_numeric_field_reports_line(self, tmp_path):
         path = tmp_path / "roi.csv"
         path.write_text("x,y,z,criticality\n1,2,3,0.5\n1,2,oops,0.5\n")
+        with pytest.raises(RoiParseError) as err:
+            load_roi(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_reports_line(self, tmp_path, value):
+        path = tmp_path / "roi.csv"
+        path.write_text(f"x,y,z,criticality\n1,2,3,0.5\n1,{value},3,0.5\n")
         with pytest.raises(RoiParseError) as err:
             load_roi(path)
         assert err.value.line == 3
@@ -179,6 +189,40 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"bogus_knob": 1})
+
+    def test_dict_form_lists_every_field(self):
+        d = config_to_dict(RunConfig())
+        assert list(d) == [f.name for f in fields(RunConfig)]
+        assert list(d["synthetic"]) == [f.name for f in fields(SyntheticRoiSpec)]
+        assert list(d["vehicle"]) == [f.name for f in fields(VehicleModel)]
+
+    def test_nested_numbers_coerced_to_field_types(self):
+        config = config_from_dict({"synthetic": {"extent": 6, "spacing": 1, "z_levels": [1, 2]}})
+        d = config_to_dict(config)["synthetic"]
+        assert d["extent"] == 6.0 and isinstance(d["extent"], float)
+        assert d["z_levels"] == [1.0, 2.0] and all(isinstance(z, float) for z in d["z_levels"])
+        assert config == config_from_dict({"synthetic": {"extent": 6.0, "spacing": 1.0, "z_levels": [1.0, 2.0]}})
+
+    @pytest.mark.parametrize("key", ["synthetic", "vehicle"])
+    def test_unknown_nested_keys_rejected(self, key):
+        with pytest.raises(ConfigError):
+            config_from_dict({key: {"bogus_knob": 1}})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(approach="setcover", solvers=("vqe",)),                       # 64 qubits
+            dict(approach="setcover", solvers=("exhaustive",)),                # 2^64 assignments
+            dict(solvers=("vqe",), grid=(512, 512), orientation_mode="free"),  # 22-qubit encoding
+        ],
+    )
+    def test_solver_size_overruns_rejected_before_coverage(self, tmp_path, monkeypatch, overrides):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("coverage was built")
+
+        monkeypatch.setattr(pipeline, "build_coverage", unreachable)
+        with pytest.raises(ConfigError):
+            run(RunConfig(output_dir=str(tmp_path / "out"), **overrides))
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
@@ -376,6 +420,47 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["solvers"] == ["greedy"]
         assert manifest["config"]["grid"] == [2, 2]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["solve"], RunConfig()),
+            (["precompute", "--cache-dir", "c"], RunConfig(cache_dir="c")),
+            (["export-lp", "--out", "o"], RunConfig()),
+            (["export-qubo", "--out", "o"], RunConfig()),
+        ],
+    )
+    def test_flag_defaults_are_the_dataclass_defaults(self, argv, expected):
+        assert _run_config(build_parser().parse_args(argv)) == expected
+
+    @pytest.mark.parametrize(
+        "bad", [["--grid", "4"], ["--grid", "4xa"], ["--grid", "0x2"], ["--orientations", "0,abc"]]
+    )
+    @pytest.mark.parametrize("command", ["solve", "export-qubo"])
+    def test_malformed_values_exit_2(self, tmp_path, capsys, command, bad):
+        small = ["--grid", "1x2", "--synthetic-extent", "6", "--synthetic-spacing", "1.0"]
+        target = ["--outdir", str(tmp_path / "x"), "--solver", "greedy", "--max-sensors", "1"]
+        if command == "export-qubo":
+            target = ["--out", str(tmp_path / "x.qubo")]
+        assert cli_main([command, *small, *target, *bad]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_orientation_list_applies_to_every_side(self, tmp_path):
+        out = tmp_path / "out"
+        args = ["--grid", "1x2", "--synthetic-extent", "6", "--synthetic-spacing", "1.0"]
+        rc = cli_main(
+            ["solve", *args, "--solver", "greedy", "--max-sensors", "1",
+             "--orientations", "0,30", "--outdir", str(out)]
+        )
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["orientations"] == {s.value: [0.0, 30.0] for s in Side}
+        selections = json.loads((out / "selections.json").read_text())["greedy"]
+        assert {c["orientation"] for side in selections.values() for c in side["configs"]} == {0.0, 30.0}
+        # the same angle list gives the per-side model export the same candidates
+        qubo = tmp_path / "left.qubo"
+        assert cli_main(["export-qubo", *args, "--orientations", "0,30", "--side", "left", "--out", str(qubo)]) == 0
+        assert qubo.read_text().count("\n") > 0
 
     def test_invalid_pairing_fails_cleanly(self, tmp_path):
         rc = cli_main(

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import sensorplace
 from sensorplace.errors import InsufficientSupportError
 from sensorplace.fixed_count import make_problem, solve_exhaustive
 from sensorplace.setcover import IsingModel
@@ -346,3 +351,29 @@ class TestIsingLoop:
         estimate = sum(c * energies[b] for b, c in hist.items()) / shots
         sigma = math.sqrt(float(probs @ (energies - exact) ** 2) / shots)
         assert abs(estimate - exact) < 3.0 * sigma + 1e-9
+
+
+class TestOptimizerBudget:
+    def test_cobyla_never_overspends(self):
+        # 8 spins x 3 layers = 24 angles: COBYLA needs at least 26 evaluations
+        # per start, more than the 20 left after the first 30-evaluation start.
+        rng = np.random.default_rng(11)
+        model = IsingModel(
+            h=rng.normal(size=8),
+            couplings={(i, j): float(rng.normal()) for i in range(8) for j in range(i + 1, 8)},
+            offset=0.0,
+        )
+        optimizer = OptimizerConfig(max_evals=50, max_evals_per_start=30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = minimize_ising_expectation(model, optimizer=optimizer, seed=0)
+        assert out.num_evals <= optimizer.max_evals + 1
+        assert len(out.trace) == out.num_evals
+
+    def test_package_import_defers_scipy_optimize(self):
+        src = Path(sensorplace.__file__).resolve().parents[1]
+        probe = "import sys, sensorplace; print('scipy.optimize' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
