@@ -16,8 +16,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import yaml
-
 from .errors import ConfigError, SensorPlaceError
 from .exports import write_fixed_count_lp, write_iqp_lp, write_qubo_coo
 from .fixed_count import make_problem
@@ -32,7 +30,7 @@ from .pipeline import (
     run,
 )
 from .reporting import aggregate, write_adherence_csv, write_aggregate_csv
-from .roi import SyntheticRoiSpec, generate_synthetic_roi, save_roi
+from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_yaml, save_roi
 from .setcover import build_iqp
 
 #: Every flag default is read from here, so none is written twice.
@@ -105,7 +103,7 @@ def _run_config(args) -> RunConfig:
     if hasattr(args, "min_sensors"):
         values["sensor_counts"] = list(range(args.min_sensors, args.max_sensors + 1))
     if getattr(args, "config", None):
-        doc = yaml.safe_load(Path(args.config).read_text()) or {}
+        doc = load_yaml(args.config) or {}
         if not isinstance(doc, dict):
             raise ConfigError(f"{args.config}: expected a mapping of run-config fields")
         if "orientation_mode" in doc:

@@ -8,6 +8,10 @@ is a small YAML file::
     sensors:
       - {name: lidar, alpha_h: 80, alpha_v: 40, range: 120, cost: 200}
 
+A missing or unreadable input file, invalid YAML and a catalog entry
+with a missing or malformed field raise :class:`ConfigError` naming the
+file.
+
 The synthetic generator lays a regular grid around the vehicle at a
 fixed spacing and assigns criticalities from a named profile, so every
 acceptance check can run without any external dataset.
@@ -18,41 +22,63 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .errors import EmptyFileError, RoiParseError
+from .errors import ConfigError, EmptyFileError, RoiParseError
 from .geometry import RoiCloud, SensorSpec, VehicleModel
 
 ROI_HEADER = ["x", "y", "z", "criticality"]
+
+#: Numeric fields every catalog entry must carry besides its name.
+_CATALOG_FIELDS = ("alpha_h", "alpha_v", "range", "cost")
+
+
+def read_input(path) -> str:
+    """Text of an input file; a missing or unreadable one raises ConfigError naming it."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot read file: not text ({exc.reason})") from None
+
+
+def load_yaml(path):
+    """Parsed YAML document of an input file; unreadable or invalid YAML raises ConfigError."""
+    text = read_input(path)
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: invalid YAML: {exc}") from None
 
 
 def load_roi(path) -> RoiCloud:
     """Parse a cloud CSV; rejects malformed rows with their line number."""
     rows: list[tuple[float, float, float, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(read_input(path).splitlines())
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyFileError(f"{path}: empty file") from None
+    if [h.strip() for h in header] != ROI_HEADER:
+        raise RoiParseError(1, f"expected header {','.join(ROI_HEADER)!r}, got {','.join(header)!r}")
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise RoiParseError(line, f"expected 4 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ROI_HEADER:
-            raise RoiParseError(1, f"expected header {','.join(ROI_HEADER)!r}, got {','.join(header)!r}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise RoiParseError(line, f"expected 4 fields, got {len(row)}")
-            try:
-                x, y, z, c = (float(v) for v in row)
-            except ValueError:
-                raise RoiParseError(line, f"non-numeric field in {row!r}") from None
-            if not np.isfinite((x, y, z)).all():
-                raise RoiParseError(line, f"non-finite coordinate in {row!r}")
-            if not 0.0 <= c <= 1.0:
-                raise RoiParseError(line, f"criticality {c} outside [0, 1]")
-            rows.append((x, y, z, c))
+            x, y, z, c = (float(v) for v in row)
+        except ValueError:
+            raise RoiParseError(line, f"non-numeric field in {row!r}") from None
+        if not np.isfinite((x, y, z)).all():
+            raise RoiParseError(line, f"non-finite coordinate in {row!r}")
+        if not 0.0 <= c <= 1.0:
+            raise RoiParseError(line, f"criticality {c} outside [0, 1]")
+        rows.append((x, y, z, c))
     if not rows:
         raise EmptyFileError(f"{path}: no data rows")
     arr = np.array(rows)
@@ -69,21 +95,26 @@ def save_roi(cloud: RoiCloud, path) -> None:
 
 
 def load_catalog(path) -> tuple[SensorSpec, ...]:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict) or "sensors" not in doc or not doc["sensors"]:
-        raise ValueError(f"{path}: expected a mapping with a nonempty 'sensors' list")
+    """Sensor types of a catalog YAML; any malformed entry raises ConfigError naming it."""
+    doc = load_yaml(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("sensors"), list) or not doc["sensors"]:
+        raise ConfigError(f"{path}: expected a mapping with a nonempty 'sensors' list")
     specs = []
-    for entry in doc["sensors"]:
-        specs.append(
-            SensorSpec(
-                name=str(entry["name"]),
-                alpha_h=float(entry["alpha_h"]),
-                alpha_v=float(entry["alpha_v"]),
-                range=float(entry["range"]),
-                cost=float(entry["cost"]),
-            )
-        )
+    for i, entry in enumerate(doc["sensors"]):
+        where = f"{path}: sensors[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where}: expected a mapping of sensor fields")
+        missing = [name for name in ("name",) + _CATALOG_FIELDS if name not in entry]
+        if missing:
+            raise ConfigError(f"{where}: missing field {', '.join(missing)}")
+        try:
+            values = {name: float(entry[name]) for name in _CATALOG_FIELDS}
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: non-numeric field in {entry!r}") from None
+        try:
+            specs.append(SensorSpec(name=str(entry["name"]), **values))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return tuple(specs)
 
 

@@ -87,6 +87,11 @@ class TestRoiFileIo:
         with pytest.raises(EmptyFileError):
             load_roi(path)
 
+    def test_missing_file_names_path(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        with pytest.raises(ConfigError, match="missing.csv"):
+            load_roi(path)
+
 
 class TestCatalogIo:
     def test_round_trip(self, tmp_path):
@@ -98,7 +103,28 @@ class TestCatalogIo:
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "catalog.yaml"
         path.write_text("nothing: here\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
+            load_catalog(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,
+            "sensors: [\n",
+            "sensors: [{name: a}]\n",
+            "sensors: [{name: a, alpha_h: wide, alpha_v: 40, range: 120, cost: 200}]\n",
+            "sensors: [{name: a, alpha_h: 80, alpha_v: 40, range: [1], cost: 200}]\n",
+            "sensors: [{name: a, alpha_h: 80, alpha_v: 40, range: -1, cost: 200}]\n",
+            "sensors: [lidar]\n",
+        ],
+        ids=["missing-file", "bad-yaml", "missing-fields", "non-numeric", "list-value",
+             "out-of-range", "not-a-mapping"],
+    )
+    def test_file_and_entry_errors_name_the_file(self, tmp_path, text):
+        path = tmp_path / "catalog.yaml"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match="catalog.yaml"):
             load_catalog(path)
 
 
@@ -461,6 +487,20 @@ class TestCli:
         qubo = tmp_path / "left.qubo"
         assert cli_main(["export-qubo", *args, "--orientations", "0,30", "--side", "left", "--out", str(qubo)]) == 0
         assert qubo.read_text().count("\n") > 0
+
+    @pytest.mark.parametrize("bad", ["config", "roi", "catalog", "catalog-entry"])
+    def test_file_errors_exit_2_naming_the_file(self, tmp_path, capsys, bad):
+        argv = ["solve", "--grid", "1x1", "--solver", "greedy", "--max-sensors", "1",
+                "--synthetic-extent", "6", "--synthetic-spacing", "1.0",
+                "--outdir", str(tmp_path / "out")]
+        path = tmp_path / ("missing.yaml" if bad != "roi" else "missing.csv")
+        if bad == "catalog-entry":
+            path.write_text("sensors: [{name: a}]\n")
+        flag = {"config": "--config", "roi": "--roi"}.get(bad, "--catalog")
+        assert cli_main([*argv, flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
 
     def test_invalid_pairing_fails_cleanly(self, tmp_path):
         rc = cli_main(

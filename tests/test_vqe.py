@@ -20,10 +20,8 @@ from sensorplace.vqe import (
     AnsatzSpec,
     EncodingMap,
     OptimizerConfig,
+    _ring_gather,
     apply_ansatz,
-    apply_ansatz_inverse,
-    apply_cnot,
-    apply_ry,
     basis_energies,
     entangler_pairs,
     minimize_ising_expectation,
@@ -31,10 +29,16 @@ from sensorplace.vqe import (
     select_feasible_topk,
     uniform_state,
     vqe_fixed_count,
-    zero_state,
 )
 
 from conftest import side_instance
+from statevector_oracle import (
+    apply_ansatz_gates,
+    apply_ansatz_inverse,
+    apply_cnot,
+    apply_ry,
+    zero_state,
+)
 
 
 def kron_ry(theta: float) -> np.ndarray:
@@ -137,11 +141,61 @@ class TestStatevectorKernels:
 
     def test_qubit_cap(self):
         with pytest.raises(ValueError):
-            zero_state(21)
+            uniform_state(21)
 
     def test_angle_count_validated(self):
         with pytest.raises(ValueError):
             AnsatzSpec(3, 2, np.zeros(5))
+
+
+class TestFusedKernelMatchesGateOracle:
+    """The fused RY-block / ring-gather kernel against the gate-by-gate reference."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_random_states_all_layer_counts(self, n):
+        rng = np.random.default_rng(100 + n)
+        for num_layers in range(1, 5):
+            ansatz = AnsatzSpec(n, num_layers, rng.uniform(-np.pi, np.pi, n * num_layers))
+            real = rng.normal(size=2**n)
+            real /= np.linalg.norm(real)
+            cplx = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            cplx /= np.linalg.norm(cplx)
+            for psi in (real, cplx):
+                got = apply_ansatz(psi, ansatz)
+                want = apply_ansatz_gates(psi, ansatz)
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n, layer", [(1, 0), (1, 3), (2, 1), (2, 3), (3, 2)])
+    def test_degenerate_ring_layers_have_no_gather(self, n, layer):
+        assert entangler_pairs(n, layer) == []
+        assert _ring_gather(n, layer) is None
+        rng = np.random.default_rng(n * 10 + layer)
+        ansatz = AnsatzSpec(n, layer + 1, rng.uniform(-np.pi, np.pi, n * (layer + 1)))
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        assert np.max(np.abs(apply_ansatz(psi, ansatz) - apply_ansatz_gates(psi, ansatz))) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_ring_gather_maps_every_basis_state_like_sequential_cnots(self, n):
+        labels = np.arange(2**n, dtype=float)
+        for layer in range(n + 1):
+            pairs = entangler_pairs(n, layer)
+            if not pairs:
+                continue
+            want = labels
+            for control, target in pairs:
+                want = apply_cnot(want, control, target)
+            gather = _ring_gather(n, layer)
+            assert not gather.flags.writeable
+            assert np.array_equal(labels[gather], want)
+
+    def test_dtype_follows_input(self):
+        ansatz = AnsatzSpec(5, 3, np.random.default_rng(3).uniform(-np.pi, np.pi, 15))
+        real = apply_ansatz(uniform_state(5), ansatz)
+        assert uniform_state(5).dtype == np.float64
+        assert real.dtype == np.float64
+        cplx = apply_ansatz(uniform_state(5).astype(complex), ansatz)
+        assert cplx.dtype == np.complex128
+        assert np.max(np.abs(cplx.real - real)) <= 1e-12 and not cplx.imag.any()
 
 
 class TestHistogram:
