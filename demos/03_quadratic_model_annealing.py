@@ -9,8 +9,6 @@ with the simulated-annealing sampler (model-scaled temperature ramp).
 
 import io
 
-import numpy as np
-
 from sensorplace import (
     DEFAULT_CATALOG,
     PlacementGrid,
@@ -27,8 +25,7 @@ from sensorplace import (
     to_ising,
 )
 from sensorplace.exports import write_qubo_coo
-from sensorplace.fixed_count import evaluate_selection
-from sensorplace.geometry import config_costs
+from sensorplace.fixed_count import evaluate_bits, make_problem
 from sensorplace.roi import SyntheticRoiSpec, generate_synthetic_roi
 
 vehicle = VehicleModel()
@@ -43,11 +40,8 @@ model = build_iqp(data, DEFAULT_CATALOG)
 print(f"quadratic model: {model.num_variables} binary variables")
 
 bits, energy = solve_exhaustive_qubo(model)
-selection = tuple(int(i) for i in np.flatnonzero(bits))
-exact = evaluate_selection(
-    selection, data, config_costs(data.configs, DEFAULT_CATALOG), 1.0, 1e-4, "exhaustive_qubo"
-)
-print(f"exhaustive optimum: energy {energy:.4f}, {len(selection)} sensors, "
+exact = evaluate_bits(bits, make_problem(data, DEFAULT_CATALOG, 1), "exhaustive_qubo")
+print(f"exhaustive optimum: energy {energy:.4f}, {len(exact.selected)} sensors, "
       f"coverage {exact.coverage:.4f}, cost {exact.cost:.0f}")
 
 ising = to_ising(model)

@@ -8,6 +8,8 @@ sample set is identical no matter how reads are chunked, vectorized or
 distributed.  Acceptance draws are consumed in (sweep, spin) order, one
 per proposal.
 
+Local fields are read from the model's dense symmetric coupling
+matrix ``J``: the field on spin ``i`` is ``spins @ J[:, i] + h[i]``.
 Results are returned as a :class:`SampleSet`: unique assignments (as
 bits under the x = (1+z)/2 convention), their model energies and their
 multiplicities, sorted by energy.
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .fixed_count import evaluate_bits, make_problem
 from .setcover import IsingModel
 
 # Memory cap for the per-chunk acceptance tape (doubles).
@@ -84,17 +87,16 @@ def suggest_beta_range(model: IsingModel) -> tuple[float, float]:
     with probability 1/2; the cold end accepts the smallest resolvable
     move with probability 1/100.
     """
+    magnitudes = np.abs(model.J)
     fields = np.abs(model.h).astype(float)
-    smallest: list[float] = [abs(h) for h in model.h if h != 0.0]
-    for (i, j), v in model.couplings.items():
-        fields[i] += abs(v)
-        fields[j] += abs(v)
-        if v != 0.0:
-            smallest.append(abs(v))
+    for row in magnitudes:  # summed in index order, |h_k| + |J_k0| + |J_k1| + ...
+        fields += row
+    scales = np.concatenate((np.abs(model.h), magnitudes[np.triu_indices(model.num_spins, 1)]))
+    scales = scales[scales != 0.0]
     max_delta = 2.0 * float(fields.max()) if fields.size else 0.0
-    if max_delta == 0.0 or not smallest:
+    if max_delta == 0.0 or not scales.size:
         return 0.1, 10.0
-    min_delta = 2.0 * min(smallest)
+    min_delta = 2.0 * float(scales.min())
     hot = math.log(2.0) / max_delta
     cold = math.log(100.0) / min_delta
     if cold <= hot:
@@ -129,7 +131,7 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
     n = model.num_spins
     if n == 0:
         raise ValueError("model must have at least one spin")
-    couplings = model.coupling_matrix()
+    J = model.J
     betas = schedule.betas()
     sweeps = schedule.sweeps_per_read
 
@@ -146,15 +148,14 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
         for k in range(sweeps):
             beta = betas[k]
             for i in range(n):
-                local = spins @ couplings[:, i] + model.h[i]
+                local = spins @ J[:, i] + model.h[i]
                 delta = -2.0 * spins[:, i] * local
                 accept = tape[:, k, i] < np.exp(-beta * np.maximum(delta, 0.0))
                 spins[accept, i] *= -1.0
         all_bits[lo:hi] = ((spins + 1.0) / 2.0).astype(np.uint8)
 
     unique, counts = np.unique(all_bits, axis=0, return_counts=True)
-    z = unique.astype(float) * 2.0 - 1.0
-    energies = z @ model.h + 0.5 * np.einsum("ri,ij,rj->r", z, couplings, z) + model.offset
+    energies = model.energies(unique.astype(float) * 2.0 - 1.0)
     order = np.lexsort(tuple(unique[:, c] for c in range(n - 1, -1, -1)) + (energies,))
     return SampleSet(
         assignments=unique[order],
@@ -180,20 +181,7 @@ def best_selection(
     constraint does not apply to the free-count formulation, so the
     feasibility flag reflects position uniqueness only.
     """
-    from .fixed_count import evaluate_selection
-    from .geometry import config_costs
-
     if len(samples) == 0:
         raise ValueError("sample set is empty")
-    bits, _ = samples.best()
-    selection = tuple(int(i) for i in np.flatnonzero(bits))
-    return evaluate_selection(
-        selection,
-        data,
-        config_costs(data.configs, catalog),
-        coverage_weight,
-        cost_weight,
-        solver_tag=solver_tag,
-        seed=seed,
-        run_index=run_index,
-    )
+    problem = make_problem(data, catalog, 1, coverage_weight, cost_weight)
+    return evaluate_bits(samples.best()[0], problem, solver_tag, seed=seed, run_index=run_index)

@@ -131,59 +131,45 @@ def check_feasible(selection, problem: FixedCountProblem) -> bool:
 
 def evaluate_selection(
     selection,
-    data: CoverageData,
-    costs: NDArray[np.float64],
-    coverage_weight: float,
-    cost_weight: float,
+    problem: FixedCountProblem,
     solver_tag: str,
     seed: int | None = None,
     run_index: int | None = None,
-    required_count: int | None = None,
+    free_count: bool = False,
 ) -> SelectionResult:
     """Package a selection into a :class:`SelectionResult` with exact metrics.
 
-    The feasibility flag always requires pairwise-distinct positions;
-    the sensor-count constraint applies only when ``required_count`` is
-    given (the free-count quadratic formulation leaves it ``None``).
+    Costs, weights and positions come from ``problem``.  The feasibility
+    flag always requires pairwise-distinct positions; the sensor-count
+    constraint applies unless ``free_count`` is set (the quadratic
+    formulation, whose count is an output).
     """
     idx = tuple(sorted(int(i) for i in selection))
-    cov = exact_union_coverage(idx, data)
-    cost = float(costs[list(idx)].sum()) if idx else 0.0
-    _, position_of = position_index_map(data.configs)
-    positions = position_of[list(idx)]
-    distinct = len(set(positions.tolist())) == len(idx)
-    feasible = distinct and (required_count is None or len(idx) == required_count)
+    cov = exact_union_coverage(idx, problem.data)
+    cost = selection_cost(idx, problem)
+    distinct = len(set(problem.position_of[list(idx)].tolist())) == len(idx)
     return SelectionResult(
         selected=idx,
         coverage=cov,
         cost=cost,
-        objective=-coverage_weight * cov + cost_weight * cost,
+        objective=-problem.coverage_weight * cov + problem.cost_weight * cost,
         solver_tag=solver_tag,
-        feasible=feasible,
-        configs=tuple(data.configs[i] for i in idx),
+        feasible=distinct and (free_count or len(idx) == problem.num_sensors),
+        configs=tuple(problem.data.configs[i] for i in idx),
         seed=seed,
         run_index=run_index,
     )
 
 
-def evaluate_problem_selection(
-    selection,
+def evaluate_bits(
+    bits,
     problem: FixedCountProblem,
     solver_tag: str,
     seed: int | None = None,
     run_index: int | None = None,
 ) -> SelectionResult:
-    return evaluate_selection(
-        selection,
-        problem.data,
-        problem.costs,
-        problem.coverage_weight,
-        problem.cost_weight,
-        solver_tag,
-        seed=seed,
-        run_index=run_index,
-        required_count=problem.num_sensors,
-    )
+    """Decode a free-count bit vector (bit i set = candidate i mounted) and score it."""
+    return evaluate_selection(np.flatnonzero(bits), problem, solver_tag, seed, run_index, free_count=True)
 
 
 def solve_exhaustive(
@@ -215,40 +201,31 @@ def solve_exhaustive(
             best_sel = sel
     if best_sel is None:
         raise InfeasibleError(f"no feasible selection of {k} sensors over {len(problem.position_groups)} positions")
-    return evaluate_problem_selection(best_sel, problem, solver_tag="exhaustive")
+    return evaluate_selection(best_sel, problem, solver_tag="exhaustive")
 
 
 def solve_greedy(problem: FixedCountProblem) -> SelectionResult:
     """Add, one at a time, the candidate with the best marginal objective change.
 
     Deterministic: float ties break toward the smallest candidate index.
-    Raises :class:`InfeasibleError` when fewer positions than sensors
-    are available.
+    A picked candidate blocks every candidate at its mount position;
+    :class:`FixedCountProblem` guarantees enough positions for the count.
     """
-    if len(problem.position_groups) < problem.num_sensors:
-        raise InfeasibleError(
-            f"{problem.num_sensors} sensors requested but only {len(problem.position_groups)} positions exist"
-        )
     data = problem.data
     mask_f = data.masks.astype(float)
     selected: list[int] = []
-    used_positions: set[int] = set()
+    blocked = np.zeros(data.num_configs, dtype=bool)
     covered = np.zeros(data.num_points, dtype=bool)
     for _ in range(problem.num_sensors):
         remaining = data.weights * ~covered
         gains = mask_f @ remaining / data.normalizer
         delta = -problem.coverage_weight * gains + problem.cost_weight * problem.costs
-        blocked = np.fromiter(
-            (problem.position_of[i] in used_positions for i in range(data.num_configs)),
-            dtype=bool,
-            count=data.num_configs,
-        )
         delta[blocked] = np.inf
         pick = int(np.argmin(delta))
         selected.append(pick)
-        used_positions.add(int(problem.position_of[pick]))
+        blocked |= problem.position_of == problem.position_of[pick]
         covered |= data.masks[pick]
-    return evaluate_problem_selection(selected, problem, solver_tag="greedy")
+    return evaluate_selection(selected, problem, solver_tag="greedy")
 
 
 @dataclass(frozen=True)

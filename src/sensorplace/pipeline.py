@@ -23,9 +23,10 @@ import numpy as np
 from . import __version__
 from .annealer import anneal, best_selection, scaled_schedule
 from .coverage import build_coverage, cached_coverage
-from .errors import ConfigError
+from .errors import ConfigError, EmptyCloudError
 from .fixed_count import (
     SelectionResult,
+    evaluate_bits,
     make_problem,
     solve_exhaustive,
     solve_greedy,
@@ -44,6 +45,7 @@ from .geometry import (
 )
 from .reporting import (
     AggregateReport,
+    RunStats,
     SweepRow,
     aggregate,
     best_run,
@@ -127,6 +129,8 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("exactly one of roi_path and synthetic must be given")
     if config.approach == "fixed_count" and not config.sensor_counts:
         raise ConfigError("fixed_count needs a nonempty sensor_counts sweep")
+    if config.coverage_weight < 0.0 or config.cost_weight < 0.0:
+        raise ConfigError("coverage_weight and cost_weight must be non-negative")
     if len(config.grid) != 2 or min(config.grid) < 1:
         raise ConfigError(f"grid must be two positive cell counts, got {config.grid!r}")
     # solver size caps, checked per side before any coverage is built
@@ -252,121 +256,122 @@ def _prepare_side(config: RunConfig, cloud: RoiCloud, catalog, side: Side) -> Si
     return SideArtifacts(side, side_cloud, configs, data)
 
 
+def _stochastic_runs(
+    config: RunConfig, run_once, seed_parts: tuple, trace_stem: str, out: Path
+) -> tuple[SelectionResult, RunStats]:
+    """Best of ``num_stochastic_runs`` seeded runs, and the statistics of the rest.
+
+    ``run_once(seed)`` returns a :class:`~sensorplace.vqe.VqeRun`.  Run ``i``
+    is seeded from ``seed_parts + (i,)`` and, with ``dump_traces``, writes
+    its trace to ``<trace_stem>_r<i>.csv``.
+    """
+    runs = []
+    for run_index in range(config.num_stochastic_runs):
+        vqe_run = run_once(derive_seed(config.seed, *seed_parts, run_index))
+        runs.append(replace(vqe_run.result, run_index=run_index))
+        if config.dump_traces:
+            vqe_run.write_trace_csv(out / f"{trace_stem}_r{run_index}.csv")
+    _, stats = drop_worst_and_summarize(runs)
+    return best_run(runs), stats
+
+
 def _solve_fixed_count(
-    config: RunConfig, solver: str, sides: dict[Side, SideArtifacts], catalog, out: Path
-) -> tuple[dict[Side, SelectionResult], list[SweepRow]]:
-    per_side: dict[Side, SelectionResult] = {}
+    config: RunConfig, solver: str, art: SideArtifacts, catalog, out: Path
+) -> tuple[SelectionResult, list[SweepRow]]:
+    """One side's best result over the sensor-count sweep, and its sweep rows."""
+    side = art.side
+    problem = make_problem(
+        art.data, catalog, num_sensors=1,
+        coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
+    )
     rows: list[SweepRow] = []
-    for side, art in sides.items():
-        problem = make_problem(
-            art.data, catalog, num_sensors=1,
-            coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
+    side_best: SelectionResult | None = None
+    if solver in ("exhaustive", "greedy"):
+        fn = solve_exhaustive if solver == "exhaustive" else solve_greedy
+        outcome = sweep_num_sensors(problem, config.sensor_counts, solver=fn)
+        for entry in outcome.entries:
+            rows.append(SweepRow(side, entry.num_sensors, solver, entry.result, None, entry.error))
+        side_best = outcome.best
+    else:  # vqe
+        encoding = EncodingMap(
+            config.grid[0], config.grid[1], len(catalog), len(config.side_orientations(side)),
         )
-        side_best: SelectionResult | None = None
-        if solver in ("exhaustive", "greedy"):
-            fn = solve_exhaustive if solver == "exhaustive" else solve_greedy
-            outcome = sweep_num_sensors(problem, config.sensor_counts, solver=fn)
-            for entry in outcome.entries:
-                rows.append(SweepRow(side, entry.num_sensors, solver, entry.result, None, entry.error))
-            side_best = outcome.best
-        else:  # vqe
-            encoding = EncodingMap(
-                config.grid[0], config.grid[1], len(catalog),
-                len(config.side_orientations(side)),
+        optimizer = OptimizerConfig(max_evals=config.vqe_max_evals)
+        for k in config.sensor_counts:
+            try:
+                prob_k = replace(problem, num_sensors=int(k))
+            except ValueError as exc:
+                rows.append(SweepRow(side, int(k), solver, None, None, str(exc)))
+                continue
+            best, stats = _stochastic_runs(
+                config,
+                lambda seed: vqe_fixed_count(
+                    prob_k, encoding, num_layers=config.vqe_layers, optimizer=optimizer,
+                    shots=config.shots, seed=seed,
+                ),
+                ("vqe_fc", side.value, int(k)),
+                f"trace_{solver}_{side.value}_k{k}",
+                out,
             )
-            for k in config.sensor_counts:
-                try:
-                    prob_k = replace(problem, num_sensors=int(k))
-                except ValueError as exc:
-                    rows.append(SweepRow(side, int(k), solver, None, None, str(exc)))
-                    continue
-                runs = []
-                for run_index in range(config.num_stochastic_runs):
-                    run = vqe_fixed_count(
-                        prob_k,
-                        encoding,
-                        num_layers=config.vqe_layers,
-                        optimizer=OptimizerConfig(max_evals=config.vqe_max_evals),
-                        shots=config.shots,
-                        seed=derive_seed(config.seed, "vqe_fc", side.value, int(k), run_index),
-                    )
-                    runs.append(replace(run.result, run_index=run_index))
-                    if config.dump_traces:
-                        run.write_trace_csv(out / f"trace_{solver}_{side.value}_k{k}_r{run_index}.csv")
-                _, stats = drop_worst_and_summarize(runs)
-                best = best_run(runs)
-                rows.append(SweepRow(side, int(k), solver, best, stats))
-                if side_best is None or best.objective < side_best.objective:
-                    side_best = best
-        if side_best is None:
-            raise ConfigError(f"no feasible result for side {side.value} with solver {solver}")
-        per_side[side] = side_best
-    return per_side, rows
+            rows.append(SweepRow(side, int(k), solver, best, stats))
+            if side_best is None or best.objective < side_best.objective:
+                side_best = best
+    if side_best is None:
+        raise ConfigError(f"no feasible result for side {side.value} with solver {solver}")
+    return side_best, rows
 
 
 def _solve_setcover(
-    config: RunConfig, solver: str, sides: dict[Side, SideArtifacts], catalog, out: Path
-) -> tuple[dict[Side, SelectionResult], list[SweepRow]]:
-    from .fixed_count import evaluate_selection
-    from .geometry import config_costs
-
-    per_side: dict[Side, SelectionResult] = {}
-    rows: list[SweepRow] = []
-    for side, art in sides.items():
-        model = build_iqp(
-            art.data, catalog,
-            coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
+    config: RunConfig, solver: str, art: SideArtifacts, catalog, out: Path
+) -> tuple[SelectionResult, list[SweepRow]]:
+    """One side's free-count result, and its single sweep row."""
+    side = art.side
+    model = build_iqp(
+        art.data, catalog,
+        coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
+    )
+    stats = None
+    if solver == "exhaustive":
+        bits, _energy = solve_exhaustive_qubo(model)
+        problem = make_problem(art.data, catalog, 1, config.coverage_weight, config.cost_weight)
+        result = evaluate_bits(bits, problem, "exhaustive_qubo")
+    elif solver == "anneal":
+        ising = to_ising(model)
+        schedule = scaled_schedule(
+            ising,
+            num_reads=config.anneal_reads,
+            sweeps_per_read=config.anneal_sweeps,
+            seed=derive_seed(config.seed, "anneal", side.value),
         )
-        if solver == "exhaustive":
-            bits, _energy = solve_exhaustive_qubo(model)
-            selection = tuple(int(i) for i in np.flatnonzero(bits))
-            result = evaluate_selection(
-                selection, art.data, config_costs(art.configs, catalog),
-                config.coverage_weight, config.cost_weight, solver_tag="exhaustive_qubo",
-            )
-            rows.append(SweepRow(side, len(selection), solver, result))
-        elif solver == "anneal":
-            ising = to_ising(model)
-            schedule = scaled_schedule(
-                ising,
-                num_reads=config.anneal_reads,
-                sweeps_per_read=config.anneal_sweeps,
-                seed=derive_seed(config.seed, "anneal", side.value),
-            )
-            samples = anneal(ising, schedule)
-            if config.dump_samples:
-                samples.to_csv(out / f"samples_{side.value}.csv")
-            result = best_selection(
-                samples, art.data, catalog,
-                config.coverage_weight, config.cost_weight, seed=schedule.seed,
-            )
-            rows.append(SweepRow(side, len(result.selected), solver, result))
-        else:  # vqe
-            ising = to_ising(model)
-            runs = []
-            for run_index in range(config.num_stochastic_runs):
-                run = vqe_ising(
-                    ising, art.data, catalog,
-                    coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
-                    num_layers=config.vqe_layers,
-                    optimizer=OptimizerConfig(max_evals=config.vqe_max_evals),
-                    seed=derive_seed(config.seed, "vqe_ising", side.value, run_index),
-                )
-                runs.append(replace(run.result, run_index=run_index))
-                if config.dump_traces:
-                    run.write_trace_csv(out / f"trace_{solver}_{side.value}_r{run_index}.csv")
-            _, stats = drop_worst_and_summarize(runs)
-            result = best_run(runs)
-            rows.append(SweepRow(side, len(result.selected), solver, result, stats))
-        per_side[side] = result
-    return per_side, rows
+        samples = anneal(ising, schedule)
+        if config.dump_samples:
+            samples.to_csv(out / f"samples_{side.value}.csv")
+        result = best_selection(
+            samples, art.data, catalog,
+            config.coverage_weight, config.cost_weight, seed=schedule.seed,
+        )
+    else:  # vqe
+        ising = to_ising(model)
+        optimizer = OptimizerConfig(max_evals=config.vqe_max_evals)
+        result, stats = _stochastic_runs(
+            config,
+            lambda seed: vqe_ising(
+                ising, art.data, catalog,
+                coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
+                num_layers=config.vqe_layers, optimizer=optimizer, seed=seed,
+            ),
+            ("vqe_ising", side.value),
+            f"trace_{solver}_{side.value}",
+            out,
+        )
+    return result, [SweepRow(side, len(result.selected), solver, result, stats)]
 
 
 def _write_selections(path: Path, reports: dict[str, AggregateReport]) -> None:
     doc = {}
     for solver, report in sorted(reports.items()):
         doc[solver] = {
-            side.value: {
+            side.value: None if r is None else {
                 "selected": list(r.selected),
                 "coverage": r.coverage,
                 "cost": r.cost,
@@ -381,13 +386,14 @@ def _write_selections(path: Path, reports: dict[str, AggregateReport]) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def load_selections(path) -> dict[str, dict[Side, SelectionResult]]:
+def load_selections(path) -> dict[str, dict[Side, SelectionResult | None]]:
+    """Per-solver, per-side selections of ``selections.json``; an unsolved side is None."""
     doc = json.loads(Path(path).read_text())
-    out: dict[str, dict[Side, SelectionResult]] = {}
+    out: dict[str, dict[Side, SelectionResult | None]] = {}
     for solver, sides in doc.items():
         out[solver] = {}
         for side_name, r in sides.items():
-            out[solver][Side(side_name)] = SelectionResult(
+            out[solver][Side(side_name)] = None if r is None else SelectionResult(
                 selected=tuple(int(i) for i in r["selected"]),
                 coverage=float(r["coverage"]),
                 cost=float(r["cost"]),
@@ -405,6 +411,8 @@ def run(config: RunConfig) -> RunOutputs:
 
     Emits ``sweep.csv``, ``aggregate.csv``, ``adherence.csv``,
     ``selections.json`` and ``manifest.json`` into ``output_dir``.
+    A side without coverable points gets one ``n/a`` sweep row per solver
+    and a null selection; the run fails only when every side is empty.
     Deterministic: identical configurations yield byte-identical CSVs.
     """
     validate_config(config)
@@ -413,16 +421,28 @@ def run(config: RunConfig) -> RunOutputs:
 
     catalog = _resolve_catalog(config)
     cloud = _resolve_cloud(config)
-    sides = {side: _prepare_side(config, cloud, catalog, side) for side in SIDE_ORDER}
+    sides: dict[Side, SideArtifacts] = {}
+    empty: dict[Side, str] = {}
+    for side in SIDE_ORDER:
+        try:
+            sides[side] = _prepare_side(config, cloud, catalog, side)
+        except EmptyCloudError as exc:
+            empty[side] = f"{type(exc).__name__}: {exc}"
+    if not sides:
+        raise EmptyCloudError(f"no side of the cloud can be solved ({empty[SIDE_ORDER[0]]})")
 
+    solve_side = _solve_fixed_count if config.approach == "fixed_count" else _solve_setcover
     reports: dict[str, AggregateReport] = {}
     sweep_rows: list[SweepRow] = []
     for solver in config.solvers:
-        if config.approach == "fixed_count":
-            per_side, rows = _solve_fixed_count(config, solver, sides, catalog, out)
-        else:
-            per_side, rows = _solve_setcover(config, solver, sides, catalog, out)
-        sweep_rows.extend(rows)
+        per_side: dict[Side, SelectionResult | None] = {}
+        for side in SIDE_ORDER:
+            if side in empty:
+                per_side[side] = None
+                sweep_rows.append(SweepRow(side, None, solver, None, error=empty[side]))
+            else:
+                per_side[side], rows = solve_side(config, solver, sides[side], catalog, out)
+                sweep_rows.extend(rows)
         reports[solver] = aggregate(per_side, cloud, catalog)
 
     write_sweep_csv(out / "sweep.csv", sweep_rows)

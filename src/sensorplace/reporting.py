@@ -32,7 +32,7 @@ ADHERENCE_THRESHOLD = 0.7
 
 @dataclass(frozen=True)
 class AggregateReport:
-    per_side: dict[Side, SelectionResult]
+    per_side: dict[Side, SelectionResult | None]  # None: the side had no points to cover
     total_cost: float
     aggregate_coverage: float
     adherence_two_sensors: float | None
@@ -80,7 +80,7 @@ def adherence(
 
 
 def aggregate(
-    per_side: dict[Side, SelectionResult],
+    per_side: dict[Side, SelectionResult | None],
     cloud: RoiCloud,
     catalog,
 ) -> AggregateReport:
@@ -88,21 +88,21 @@ def aggregate(
 
     ``cloud`` is the full region of interest; coverage is the exact
     union of every selected FoV weighted by the global criticality
-    total.
+    total.  A side mapped to None (nothing to cover) contributes no
+    sensors; a side absent from ``per_side`` is an error.
     """
     missing = [s.value for s in SIDE_ORDER if s not in per_side]
     if missing:
         raise MissingSideError(f"missing sides: {', '.join(missing)}")
 
-    selected_configs: list[SensorConfig] = []
-    for side in SIDE_ORDER:
-        selected_configs.extend(per_side[side].configs)
+    solved = [per_side[s] for s in SIDE_ORDER if per_side[s] is not None]
+    selected_configs: list[SensorConfig] = [cfg for r in solved for cfg in r.configs]
 
     covered = np.zeros(len(cloud), dtype=bool)
     for cfg in selected_configs:
         covered |= fov_mask(cfg, catalog[cfg.type_index], cloud.points)
     coverage = float(cloud.criticality[covered].sum() / cloud.total_criticality)
-    total_cost = float(sum(per_side[s].cost for s in SIDE_ORDER))
+    total_cost = float(sum(r.cost for r in solved))
 
     try:
         two_sensors, two_types = adherence(selected_configs, cloud, catalog)
@@ -185,14 +185,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _result_cells(r: SelectionResult | None) -> list[str]:
+    """Coverage, cost, objective and selected indices of a result, ``n/a`` without one."""
+    if r is None:
+        return ["n/a"] * 4
+    return [_fmt(r.coverage), _fmt(r.cost), _fmt(r.objective), " ".join(str(i) for i in r.selected)]
+
+
 @dataclass(frozen=True)
 class SweepRow:
     side: Side
-    num_sensors: int
+    num_sensors: int | None
     solver: str
     result: SelectionResult | None
     stats: RunStats | None = None
     error: str | None = None
+
+
+#: RunStats fields in sweep.csv column order; the header calls ``num_runs`` "runs".
+_STATS_COLUMNS = (
+    "num_runs", "dropped_run",
+    "coverage_mean", "coverage_min", "coverage_max",
+    "cost_mean", "cost_min", "cost_max",
+    "objective_mean", "objective_min", "objective_max",
+)
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
@@ -200,39 +216,17 @@ def write_sweep_csv(path, rows: list[SweepRow]) -> None:
         fh.write(SWEEP_SCHEMA + "\n")
         writer = csv.writer(fh)
         writer.writerow(
-            [
-                "side", "n_sensors", "solver", "coverage", "cost", "objective", "selected",
-                "runs", "dropped_run",
-                "coverage_mean", "coverage_min", "coverage_max",
-                "cost_mean", "cost_min", "cost_max",
-                "objective_mean", "objective_min", "objective_max",
-                "error",
-            ]
+            ["side", "n_sensors", "solver", "coverage", "cost", "objective", "selected", "runs"]
+            + list(_STATS_COLUMNS[1:])
+            + ["error"]
         )
         for row in rows:
-            r, s = row.result, row.stats
+            s = row.stats
             writer.writerow(
-                [
-                    row.side.value,
-                    row.num_sensors,
-                    row.solver,
-                    _fmt(r.coverage if r else None),
-                    _fmt(r.cost if r else None),
-                    _fmt(r.objective if r else None),
-                    " ".join(str(i) for i in r.selected) if r else "n/a",
-                    _fmt(s.num_runs if s else None),
-                    _fmt(s.dropped_run if s else None),
-                    _fmt(s.coverage_mean if s else None),
-                    _fmt(s.coverage_min if s else None),
-                    _fmt(s.coverage_max if s else None),
-                    _fmt(s.cost_mean if s else None),
-                    _fmt(s.cost_min if s else None),
-                    _fmt(s.cost_max if s else None),
-                    _fmt(s.objective_mean if s else None),
-                    _fmt(s.objective_min if s else None),
-                    _fmt(s.objective_max if s else None),
-                    row.error or "",
-                ]
+                [row.side.value, _fmt(row.num_sensors), row.solver]
+                + _result_cells(row.result)
+                + [_fmt(getattr(s, name) if s else None) for name in _STATS_COLUMNS]
+                + [row.error or ""]
             )
 
 
@@ -245,17 +239,7 @@ def write_aggregate_csv(path, reports: dict[str, AggregateReport]) -> None:
         for solver in sorted(reports):
             report = reports[solver]
             for side in SIDE_ORDER:
-                r = report.per_side[side]
-                writer.writerow(
-                    [
-                        solver,
-                        side.value,
-                        _fmt(r.coverage),
-                        _fmt(r.cost),
-                        _fmt(r.objective),
-                        " ".join(str(i) for i in r.selected),
-                    ]
-                )
+                writer.writerow([solver, side.value] + _result_cells(report.per_side[side]))
             writer.writerow(
                 [solver, "aggregate", _fmt(report.aggregate_coverage), _fmt(report.total_cost), "", ""]
             )

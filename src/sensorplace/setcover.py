@@ -16,6 +16,9 @@ quadratic matrix has zero diagonal and
          = -coverage_weight * approx + cost_weight * cost(x).
 
 Spin models use the x = (1 + z) / 2 convention: bit 1 maps to spin +1.
+`to_ising` keeps the coupling matrix dense: ``J = quadratic / 2`` is symmetric
+with zero diagonal, so a spin's local field is one row of ``J`` and
+:meth:`IsingModel.energies` is the one place spin energies are computed.
 """
 
 from __future__ import annotations
@@ -74,36 +77,36 @@ class QuadraticModel:
 
 @dataclass(frozen=True)
 class IsingModel:
-    """Spin model E(z) = h . z + sum_{i<j} J_ij z_i z_j + offset, z in {-1,+1}^N."""
+    """Spin model E(z) = h . z + 0.5 * z^T J z + offset, z in {-1,+1}^N.
+
+    ``J`` is symmetric with zero diagonal, so the 1/2 counts every pair
+    once: E(z) = h . z + sum_{i<j} J_ij z_i z_j + offset.
+    """
 
     h: NDArray[np.float64]
-    couplings: dict[tuple[int, int], float]
+    J: NDArray[np.float64]
     offset: float
 
     def __post_init__(self):
-        for (i, j) in self.couplings:
-            if not 0 <= i < j < self.h.shape[0]:
-                raise ValueError(f"coupling key {(i, j)} is not strictly upper-triangular")
+        n = self.h.shape[0]
+        if self.J.shape != (n, n):
+            raise ValueError("coupling matrix shape does not match the field vector")
+        if np.any(self.J.diagonal() != 0.0):
+            raise ValueError("coupling matrix must have a zero diagonal")
+        if not np.array_equal(self.J, self.J.T):
+            raise ValueError("coupling matrix must be symmetric")
 
     @property
     def num_spins(self) -> int:
         return self.h.shape[0]
 
-    def coupling_matrix(self) -> NDArray[np.float64]:
-        """Dense symmetric coupling matrix with zero diagonal."""
-        n = self.num_spins
-        m = np.zeros((n, n))
-        for (i, j), v in self.couplings.items():
-            m[i, j] = v
-            m[j, i] = v
-        return m
+    def energies(self, spins: NDArray) -> NDArray[np.float64]:
+        """Vectorized energies for an (m, N) batch of spin assignments."""
+        z = np.asarray(spins, dtype=float)
+        return z @ self.h + 0.5 * np.einsum("ri,ij,rj->r", z, self.J, z) + self.offset
 
     def energy(self, spins) -> float:
-        z = np.asarray(spins, dtype=float)
-        e = float(z @ self.h) + self.offset
-        for (i, j), v in self.couplings.items():
-            e += v * z[i] * z[j]
-        return e
+        return float(self.energies([spins])[0])
 
     def energy_of_bits(self, bits) -> float:
         """Energy of a {0,1} assignment under the x = (1+z)/2 convention."""
@@ -171,27 +174,18 @@ def to_ising(model: QuadraticModel) -> IsingModel:
     """Substitute x = (1 + z) / 2; energies agree on every assignment."""
     a = model.linear
     q = model.quadratic
-    row_sums = q.sum(axis=1)
-    h = a / 2.0 + row_sums / 2.0
-    couplings: dict[tuple[int, int], float] = {}
-    n = model.num_variables
-    for i in range(n):
-        for j in range(i + 1, n):
-            if q[i, j] != 0.0:
-                couplings[(i, j)] = q[i, j] / 2.0
+    h = a / 2.0 + q.sum(axis=1) / 2.0
     offset = model.offset + a.sum() / 2.0 + q.sum() / 4.0
-    return IsingModel(h=h, couplings=couplings, offset=float(offset))
+    return IsingModel(h=h, J=q / 2.0, offset=float(offset))
 
 
 def to_qubo(model: IsingModel, variable_names: tuple[str, ...] | None = None) -> QuadraticModel:
     """Inverse substitution z = 2x - 1 back to binary variables."""
-    n = model.num_spins
-    m = model.coupling_matrix()
-    quadratic = 2.0 * m
-    linear = 2.0 * model.h - 2.0 * m.sum(axis=1)
-    offset = model.offset - model.h.sum() + sum(model.couplings.values())
-    names = variable_names or tuple(f"x{i}" for i in range(n))
-    return QuadraticModel(linear=linear, quadratic=quadratic, offset=float(offset), variable_names=names)
+    J = model.J
+    linear = 2.0 * model.h - 2.0 * J.sum(axis=1)
+    offset = model.offset - model.h.sum() + J.sum() / 2.0
+    names = variable_names or tuple(f"x{i}" for i in range(model.num_spins))
+    return QuadraticModel(linear=linear, quadratic=2.0 * J, offset=float(offset), variable_names=names)
 
 
 def enumerate_bits(indices: NDArray[np.int64], n: int) -> NDArray[np.uint8]:

@@ -46,10 +46,11 @@ from .errors import InsufficientSupportError
 from .fixed_count import (
     FixedCountProblem,
     SelectionResult,
+    evaluate_bits,
     evaluate_selection,
+    make_problem,
     objective as selection_objective,
 )
-from .geometry import config_costs
 from .setcover import IsingModel, enumerate_bits
 
 MAX_QUBITS = 20
@@ -442,16 +443,7 @@ def vqe_fixed_count(
 
     if best["selection"] is None:
         raise InsufficientSupportError("no evaluation produced a feasible selection")
-    result = evaluate_selection(
-        best["selection"],
-        problem.data,
-        problem.costs,
-        problem.coverage_weight,
-        problem.cost_weight,
-        solver_tag="vqe_fixed_count",
-        seed=seed,
-        required_count=problem.num_sensors,
-    )
+    result = evaluate_selection(best["selection"], problem, "vqe_fixed_count", seed=seed)
     return VqeRun(result=result, trace=trace, num_evals=num_evals)
 
 
@@ -473,9 +465,7 @@ def basis_energies(model: IsingModel) -> NDArray[np.float64]:
     n = model.num_spins
     _check_qubits(n)
     bits = enumerate_bits(np.arange(2**n, dtype=np.int64), n)
-    z = bits.astype(float) * 2.0 - 1.0
-    m = model.coupling_matrix()
-    return z @ model.h + 0.5 * np.einsum("ri,ij,rj->r", z, m, z) + model.offset
+    return model.energies(bits.astype(float) * 2.0 - 1.0)
 
 
 def minimize_ising_expectation(
@@ -559,18 +549,10 @@ def vqe_ising(
     """
     if model.num_spins != data.num_configs:
         raise ValueError("one spin per candidate required")
+    problem = make_problem(data, catalog, 1, coverage_weight, cost_weight)
     outcome = minimize_ising_expectation(
         model, num_layers, optimizer, seed, shots, observation_floor
     )
     bits = enumerate_bits(np.array([outcome.best_state], dtype=np.int64), model.num_spins)[0]
-    selection = tuple(int(i) for i in np.flatnonzero(bits))
-    result = evaluate_selection(
-        selection,
-        data,
-        config_costs(data.configs, catalog),
-        coverage_weight,
-        cost_weight,
-        solver_tag="vqe_ising",
-        seed=seed,
-    )
+    result = evaluate_bits(bits, problem, "vqe_ising", seed=seed)
     return VqeRun(result=result, trace=outcome.trace, num_evals=outcome.num_evals)

@@ -23,6 +23,7 @@ from sensorplace.geometry import (
     partition_roi,
 )
 from sensorplace.coverage import build_coverage
+from sensorplace.setcover import IsingModel
 
 
 def dyadic(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -88,6 +89,15 @@ def side_instance(
     configs = enumerate_configs(catalog, vehicle, PlacementGrid(side, grid[0], grid[1], orientations))
     data = build_coverage(side_cloud, configs, catalog)
     return side_cloud, configs, catalog, data
+
+
+def ising_model(h, pairs: dict[tuple[int, int], float], offset: float = 0.0) -> IsingModel:
+    """Spin model with the given fields and per-pair coupling values ``{(i, j): J_ij}``."""
+    h = np.asarray(h, dtype=float)
+    J = np.zeros((h.shape[0], h.shape[0]))
+    for (i, j), value in pairs.items():
+        J[i, j] = J[j, i] = value
+    return IsingModel(h=h, J=J, offset=offset)
 
 
 @pytest.fixture

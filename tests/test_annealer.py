@@ -13,9 +13,9 @@ from sensorplace.annealer import (
     suggest_beta_range,
     _read_rng,
 )
-from sensorplace.setcover import IsingModel, build_iqp, solve_exhaustive_qubo, to_ising
+from sensorplace.setcover import build_iqp, solve_exhaustive_qubo, to_ising
 
-from conftest import TWO_TYPE_CATALOG, side_instance
+from conftest import TWO_TYPE_CATALOG, ising_model, side_instance
 from test_fixed_count import disjoint_instance
 from test_setcover import random_qubo
 
@@ -27,7 +27,7 @@ def quick_schedule(seed: int = 0, reads: int = 200, sweeps: int = 150) -> Anneal
 class TestAnalyticGroundStates:
     def test_ferromagnetic_pair(self):
         # aligned spins minimize a negative coupling; both ground states appear
-        model = IsingModel(h=np.zeros(2), couplings={(0, 1): -1.0}, offset=0.25)
+        model = ising_model(np.zeros(2), {(0, 1): -1.0}, 0.25)
         samples = anneal(model, quick_schedule())
         _, best_energy = samples.best()
         assert best_energy == pytest.approx(-1.0 + 0.25)
@@ -35,15 +35,15 @@ class TestAnalyticGroundStates:
         assert (0, 0) in seen and (1, 1) in seen
 
     def test_single_spin_field(self):
-        model = IsingModel(h=np.array([-1.0]), couplings={}, offset=0.0)
+        model = ising_model(np.array([-1.0]), {}, 0.0)
         samples = anneal(model, quick_schedule())
         bits, energy = samples.best()
         assert bits.tolist() == [1]  # spin +1 under the bit convention
         assert energy == -1.0
 
     def test_frustrated_triangle(self):
-        # all-positive couplings: best any assignment can do is one unsatisfied edge
-        model = IsingModel(h=np.zeros(3), couplings={(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}, offset=0.0)
+        # all-positive J: best any assignment can do is one unsatisfied edge
+        model = ising_model(np.zeros(3), {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}, 0.0)
         samples = anneal(model, quick_schedule())
         assert samples.best()[1] == pytest.approx(-1.0)
 
@@ -104,15 +104,35 @@ class TestDeterminismAndBookkeeping:
 
     def test_scaled_beta_range_resolves_small_terms(self):
         # mixed scales: an O(1) coupling next to an O(1e-3) field
-        model = IsingModel(h=np.array([0.002, 0.0]), couplings={(0, 1): 1.0}, offset=0.0)
+        model = ising_model(np.array([0.002, 0.0]), {(0, 1): 1.0}, 0.0)
         hot, cold = suggest_beta_range(model)
         assert hot == pytest.approx(np.log(2.0) / (2.0 * 1.002))
         assert cold == pytest.approx(np.log(100.0) / (2.0 * 0.002))
         schedule = scaled_schedule(model, num_reads=10, sweeps_per_read=5, seed=1)
         assert schedule.beta_start == hot and schedule.beta_end == cold
 
+    def test_scaled_beta_range_matches_per_pair_loop_bit_for_bit(self):
+        # reference: walk the pairs i < j and add |J_ij| to both spins' fields,
+        # so each field is summed in index order, |h_k| + |J_k0| + |J_k1| + ...
+        for seed in range(10):
+            rng = np.random.default_rng(1100 + seed)
+            n = int(rng.integers(20, 41))
+            model = to_ising(random_qubo(rng, n))
+            fields = np.abs(model.h)
+            scales = [abs(v) for v in model.h if v != 0.0]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    v = model.J[i, j]
+                    fields[i] += abs(v)
+                    fields[j] += abs(v)
+                    if v != 0.0:
+                        scales.append(abs(v))
+            hot = np.log(2.0) / (2.0 * float(fields.max()))
+            cold = np.log(100.0) / (2.0 * min(scales))
+            assert suggest_beta_range(model) == (hot, cold)
+
     def test_scaled_beta_range_falls_back_on_empty_model(self):
-        model = IsingModel(h=np.zeros(3), couplings={}, offset=0.0)
+        model = ising_model(np.zeros(3), {}, 0.0)
         assert suggest_beta_range(model) == (0.1, 10.0)
 
     def test_csv_export(self, tmp_path):

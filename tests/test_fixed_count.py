@@ -12,8 +12,11 @@ import pytest
 from sensorplace.coverage import build_coverage, exact_union_coverage
 from sensorplace.errors import BudgetExceededError
 from sensorplace.exports import write_fixed_count_lp
+from sensorplace import fixed_count
 from sensorplace.fixed_count import (
     check_feasible,
+    evaluate_bits,
+    evaluate_selection,
     make_problem,
     objective,
     solve_exhaustive,
@@ -94,6 +97,43 @@ class TestFeasibility:
         assert check_feasible([0, 5, 10], problem)
 
 
+class TestEvaluateSelection:
+    def test_reads_the_problems_position_map(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        _, _, catalog, data = side_instance(rng, grid=(2, 2))
+        problem = make_problem(data, catalog, num_sensors=2)
+
+        def rebuilt(configs):
+            raise AssertionError("position map rebuilt while scoring")
+
+        monkeypatch.setattr(fixed_count, "position_index_map", rebuilt)
+        result = evaluate_selection([5, 0], problem, "test", seed=7, run_index=1)
+        assert result.selected == (0, 5) and result.feasible
+        assert result.objective == objective([0, 5], problem)
+        assert result.cost == float(problem.costs[[0, 5]].sum())
+        assert result.configs == (data.configs[0], data.configs[5])
+        assert (result.solver_tag, result.seed, result.run_index) == ("test", 7, 1)
+        assert not evaluate_selection([0, 4], problem, "test").feasible  # shared position
+
+    def test_count_applies_to_fixed_count_only(self):
+        rng = np.random.default_rng(4)
+        _, _, catalog, data = side_instance(rng, grid=(2, 2))
+        problem = make_problem(data, catalog, num_sensors=2)
+        assert not evaluate_selection([0, 5, 10], problem, "test").feasible
+        assert evaluate_selection([0, 5, 10], problem, "test", free_count=True).feasible
+
+    def test_bits_decode_to_the_set_candidates(self):
+        rng = np.random.default_rng(5)
+        _, _, catalog, data = side_instance(rng, grid=(2, 2))
+        problem = make_problem(data, catalog, num_sensors=1)
+        bits = np.zeros(data.num_configs, dtype=np.uint8)
+        bits[[0, 5, 10]] = 1
+        result = evaluate_bits(bits, problem, "test")
+        assert result == evaluate_selection([0, 5, 10], problem, "test", free_count=True)
+        assert result.feasible
+        assert evaluate_bits(np.zeros(data.num_configs), problem, "test").selected == ()
+
+
 class TestSolveExhaustive:
     def test_matches_definition_on_small_instance(self):
         rng = np.random.default_rng(5)
@@ -149,7 +189,34 @@ class TestSolveExhaustive:
         assert solve_exhaustive(p1).selected == solve_exhaustive(p2).selected
 
 
+def greedy_reference(problem) -> tuple[int, ...]:
+    """Greedy picks with the blocked candidates recomputed from the used positions each step."""
+    data = problem.data
+    selected: list[int] = []
+    used: set[int] = set()
+    covered = np.zeros(data.num_points, dtype=bool)
+    for _ in range(problem.num_sensors):
+        gains = data.masks.astype(float) @ (data.weights * ~covered) / data.normalizer
+        delta = -problem.coverage_weight * gains + problem.cost_weight * problem.costs
+        for i in range(data.num_configs):
+            if int(problem.position_of[i]) in used:
+                delta[i] = np.inf
+        pick = int(np.argmin(delta))
+        selected.append(pick)
+        used.add(int(problem.position_of[pick]))
+        covered |= data.masks[pick]
+    return tuple(sorted(selected))
+
+
 class TestSolveGreedy:
+    def test_picks_match_the_per_candidate_reference(self):
+        for seed in range(4):
+            rng = np.random.default_rng(1200 + seed)
+            _, _, catalog, data = side_instance(rng, grid=(3, 3), orientations=(0.0, 30.0))
+            for k in range(1, 10):
+                problem = make_problem(data, catalog, num_sensors=k)
+                assert solve_greedy(problem).selected == greedy_reference(problem)
+
     def test_never_beats_exhaustive_and_stays_feasible(self):
         for seed in range(6):
             rng = np.random.default_rng(300 + seed)

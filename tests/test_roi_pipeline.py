@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import fields
 
@@ -249,6 +250,11 @@ class TestRunConfig:
         monkeypatch.setattr(pipeline, "build_coverage", unreachable)
         with pytest.raises(ConfigError):
             run(RunConfig(output_dir=str(tmp_path / "out"), **overrides))
+
+    @pytest.mark.parametrize("weight", ["coverage_weight", "cost_weight"])
+    def test_negative_weights_rejected(self, weight):
+        with pytest.raises(ConfigError):
+            validate_config(RunConfig(approach="setcover", solvers=("anneal",), **{weight: -1.0}))
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
@@ -501,6 +507,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
         assert "Traceback" not in err
+
+    def test_side_without_points_gets_na_rows(self, tmp_path):
+        # both points lie in front of the vehicle: back, left and right are empty
+        roi = tmp_path / "one.csv"
+        roi.write_text("x,y,z,criticality\n5.0,0.0,1.0,0.9\n6.0,0.5,1.0,0.5\n")
+        argv = ["solve", "--roi", str(roi), "--grid", "1x1", "--solver", "greedy", "--max-sensors", "1"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli_main([*argv, "--outdir", str(first)]) == 0
+        assert cli_main([*argv, "--outdir", str(second)]) == 0
+        for name in ("sweep.csv", "aggregate.csv", "adherence.csv", "selections.json", "manifest.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+        sweep = {r["side"]: r for r in csv.DictReader((first / "sweep.csv").read_text().splitlines()[1:])}
+        assert sweep["front"]["error"] == "" and sweep["front"]["coverage"] == "1.0"
+        aggregate_rows = (first / "aggregate.csv").read_text().splitlines()
+        for side in ("back", "left", "right"):
+            assert sweep[side]["error"].startswith("EmptyCloudError: ")
+            assert {sweep[side][c] for c in ("n_sensors", "coverage", "cost", "objective", "selected")} == {"n/a"}
+            assert f"greedy,{side},n/a,n/a,n/a,n/a" in aggregate_rows
+        selections = json.loads((first / "selections.json").read_text())["greedy"]
+        assert [side for side, r in selections.items() if r is None] == ["back", "left", "right"]
+        assert load_selections(first / "selections.json")["greedy"][Side.BACK] is None
+
+        report = tmp_path / "report"
+        assert cli_main(
+            ["report", "--selections", str(first / "selections.json"), "--roi", str(roi), "--outdir", str(report)]
+        ) == 0
+        assert (report / "aggregate.csv").read_bytes() == (first / "aggregate.csv").read_bytes()
+        assert (report / "adherence.csv").read_bytes() == (first / "adherence.csv").read_bytes()
+
+    def test_no_solvable_side_exits_2(self, tmp_path, capsys):
+        roi = tmp_path / "zero.csv"
+        roi.write_text("x,y,z,criticality\n5.0,0.0,1.0,0.0\n6.0,0.5,1.0,0.0\n")
+        argv = ["solve", "--roi", str(roi), "--grid", "1x1", "--solver", "greedy", "--max-sensors", "1"]
+        assert cli_main([*argv, "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_invalid_pairing_fails_cleanly(self, tmp_path):
         rc = cli_main(

@@ -143,7 +143,7 @@ class TestIsingConversion:
         ising = to_ising(model)
         assert ising.h[0] == 0.375
         assert ising.offset == 0.375
-        assert ising.couplings == {}
+        assert not ising.J.any()
 
     def test_zero_model_maps_to_zero(self):
         model = QuadraticModel(
@@ -153,7 +153,7 @@ class TestIsingConversion:
             variable_names=("x0", "x1", "x2"),
         )
         ising = to_ising(model)
-        assert np.all(ising.h == 0.0) and ising.offset == 0.0 and ising.couplings == {}
+        assert np.all(ising.h == 0.0) and ising.offset == 0.0 and not ising.J.any()
 
     def test_energies_agree_exactly_on_dyadic_models(self):
         # dyadic coefficients keep the substitution arithmetic exact
@@ -190,9 +190,21 @@ class TestIsingConversion:
             assert np.array_equal(e1, e2)
             assert np.array_equal(np.flatnonzero(e1 == e1.min()), np.flatnonzero(e2 == e2.min()))
 
-    def test_strict_upper_triangular_keys_enforced(self):
-        with pytest.raises(ValueError):
-            IsingModel(h=np.zeros(3), couplings={(2, 1): 1.0}, offset=0.0)
+    def test_J_must_be_symmetric_with_zero_diagonal(self):
+        asymmetric = np.zeros((3, 3))
+        asymmetric[2, 1] = 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            IsingModel(h=np.zeros(3), J=asymmetric, offset=0.0)
+        with pytest.raises(ValueError, match="zero diagonal"):
+            IsingModel(h=np.zeros(3), J=np.eye(3), offset=0.0)
+        with pytest.raises(ValueError, match="shape"):
+            IsingModel(h=np.zeros(3), J=np.zeros((2, 2)), offset=0.0)
+        IsingModel(h=np.zeros(3), J=asymmetric + asymmetric.T, offset=0.0)
+
+    def test_to_ising_J_is_half_the_quadratic_matrix(self):
+        model = random_qubo(np.random.default_rng(900), 6, dyadic=True)
+        ising = to_ising(model)
+        assert np.array_equal(ising.J, model.quadratic / 2.0)
 
 
 class TestSolveExhaustiveQubo:

@@ -15,7 +15,6 @@ from scipy import stats
 import sensorplace
 from sensorplace.errors import InsufficientSupportError
 from sensorplace.fixed_count import make_problem, solve_exhaustive
-from sensorplace.setcover import IsingModel
 from sensorplace.vqe import (
     AnsatzSpec,
     EncodingMap,
@@ -31,7 +30,7 @@ from sensorplace.vqe import (
     vqe_fixed_count,
 )
 
-from conftest import side_instance
+from conftest import ising_model, side_instance
 from statevector_oracle import (
     apply_ansatz_gates,
     apply_ansatz_inverse,
@@ -362,29 +361,28 @@ class TestFixedCountLoop:
 
 class TestIsingLoop:
     def test_single_spin_drives_to_ground(self):
-        model = IsingModel(h=np.array([-1.0]), couplings={}, offset=0.0)
+        model = ising_model(np.array([-1.0]), {}, 0.0)
         out = minimize_ising_expectation(model, num_layers=1, optimizer=OptimizerConfig(max_evals=80), seed=0)
         assert out.best_expectation == pytest.approx(-1.0, abs=1e-6)
         assert out.best_energy == -1.0
         assert out.best_state == 1
 
     def test_zero_model_expectation_is_zero(self):
-        model = IsingModel(h=np.zeros(3), couplings={}, offset=0.0)
+        model = ising_model(np.zeros(3), {}, 0.0)
         out = minimize_ising_expectation(model, optimizer=OptimizerConfig(max_evals=30), seed=1)
         assert all(abs(e) < 1e-12 for _, e, _ in [(i, v, t) for i, v, t in out.trace])
 
     def test_basis_energies_match_model(self):
         rng = np.random.default_rng(7)
         h = rng.normal(size=4)
-        couplings = {(0, 1): 0.5, (1, 3): -0.25, (2, 3): 1.5}
-        model = IsingModel(h=h, couplings=couplings, offset=0.3)
+        model = ising_model(h, {(0, 1): 0.5, (1, 3): -0.25, (2, 3): 1.5}, 0.3)
         energies = basis_energies(model)
         for basis in range(16):
             bits = [(basis >> (3 - q)) & 1 for q in range(4)]
             assert energies[basis] == pytest.approx(model.energy_of_bits(bits), abs=1e-12)
 
     def test_shot_based_estimation_mode(self):
-        model = IsingModel(h=np.array([-1.0, 0.5]), couplings={(0, 1): 0.2}, offset=0.0)
+        model = ising_model(np.array([-1.0, 0.5]), {(0, 1): 0.2}, 0.0)
         out = minimize_ising_expectation(
             model, optimizer=OptimizerConfig(max_evals=60), seed=2, shots=512
         )
@@ -394,7 +392,7 @@ class TestIsingLoop:
     def test_expectation_consistency_samples_vs_exact(self):
         # sample-estimated energy approaches the exact expectation
         rng = np.random.default_rng(8)
-        model = IsingModel(h=rng.normal(size=3), couplings={(0, 2): 0.7}, offset=0.1)
+        model = ising_model(rng.normal(size=3), {(0, 2): 0.7}, 0.1)
         energies = basis_energies(model)
         theta = rng.uniform(-np.pi, np.pi, 9)
         state = apply_ansatz(uniform_state(3), AnsatzSpec(3, 3, theta))
@@ -412,10 +410,9 @@ class TestOptimizerBudget:
         # 8 spins x 3 layers = 24 angles: COBYLA needs at least 26 evaluations
         # per start, more than the 20 left after the first 30-evaluation start.
         rng = np.random.default_rng(11)
-        model = IsingModel(
-            h=rng.normal(size=8),
-            couplings={(i, j): float(rng.normal()) for i in range(8) for j in range(i + 1, 8)},
-            offset=0.0,
+        model = ising_model(
+            rng.normal(size=8),
+            {(i, j): float(rng.normal()) for i in range(8) for j in range(i + 1, 8)},
         )
         optimizer = OptimizerConfig(max_evals=50, max_evals_per_start=30)
         with warnings.catch_warnings():
