@@ -20,13 +20,11 @@ from .annealer import (
 )
 from .coverage import (
     CoverageData,
-    WeightedSet,
     build_coverage,
     cached_coverage,
     exact_union_coverage,
     load_coverage,
     save_coverage,
-    weighted_cardinality,
 )
 from .errors import (
     BudgetExceededError,
@@ -43,7 +41,6 @@ from .errors import (
 from .fixed_count import (
     FixedCountProblem,
     SelectionResult,
-    check_feasible,
     evaluate_selection,
     make_problem,
     objective,
@@ -55,7 +52,6 @@ from .geometry import (
     DEFAULT_CATALOG,
     PlacementGrid,
     RoiCloud,
-    RoiPoint,
     SensorConfig,
     SensorSpec,
     Side,

@@ -116,8 +116,8 @@ def _side_instance(args):
     """(config, catalog, coverage data) of the ``--side`` face, built by the pipeline."""
     config = _run_config(args)
     catalog = _resolve_catalog(config)
-    side = _prepare_side(config, _resolve_cloud(config), catalog, Side(args.side))
-    return config, catalog, side.data
+    data = _prepare_side(config, _resolve_cloud(config), catalog, Side(args.side))
+    return config, catalog, data
 
 
 def _cmd_gen_roi(args) -> int:

@@ -91,27 +91,6 @@ def build_coverage(
     )
 
 
-def weighted_cardinality(members, cloud: RoiCloud) -> float:
-    """Criticality sum of the indexed points divided by the cloud total."""
-    members = np.asarray(members, dtype=int)
-    if members.size == 0:
-        return 0.0
-    return float(cloud.criticality[members].sum() / cloud.total_criticality)
-
-
-@dataclass(frozen=True)
-class WeightedSet:
-    """A point subset together with its weighted cardinality."""
-
-    members: tuple[int, ...]
-    weighted_cardinality: float
-
-    @classmethod
-    def from_members(cls, members, cloud: RoiCloud) -> "WeightedSet":
-        members = tuple(int(m) for m in members)
-        return cls(members, weighted_cardinality(members, cloud))
-
-
 def union_mask(selection, data: CoverageData) -> NDArray[np.bool_]:
     """Boolean OR of the selected candidates' coverage rows."""
     idx = list(selection)

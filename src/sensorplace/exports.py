@@ -66,7 +66,7 @@ def write_fixed_count_lp(fh, problem: FixedCountProblem) -> None:
     fh.write(_objective_lines(x_names + z_names, obj_coeffs))
     fh.write("\nSubject To\n")
 
-    groups, _ = position_index_map(data.configs)
+    groups = problem.position_groups
     for p in sorted(groups):
         members = " + ".join(x_names[i] for i in groups[p])
         fh.write(f" pos{p}: {members} <= 1\n")

@@ -120,15 +120,6 @@ def objective(selection, problem: FixedCountProblem) -> float:
     return -problem.coverage_weight * cov + problem.cost_weight * selection_cost(selection, problem)
 
 
-def check_feasible(selection, problem: FixedCountProblem) -> bool:
-    """True iff positions are pairwise distinct and the count matches."""
-    idx = list(selection)
-    if len(idx) != problem.num_sensors:
-        return False
-    positions = problem.position_of[idx]
-    return len(set(positions.tolist())) == len(idx)
-
-
 def evaluate_selection(
     selection,
     problem: FixedCountProblem,
@@ -239,9 +230,6 @@ class SweepEntry:
 class SweepOutcome:
     entries: tuple[SweepEntry, ...]
     best: SelectionResult | None
-
-    def results(self) -> list[SelectionResult]:
-        return [e.result for e in self.entries if e.result is not None]
 
 
 def sweep_num_sensors(problem: FixedCountProblem, counts, solver=solve_exhaustive) -> SweepOutcome:

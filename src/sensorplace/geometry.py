@@ -182,12 +182,6 @@ class SensorConfig:
 
 
 @dataclass(frozen=True)
-class RoiPoint:
-    xyz: tuple[float, float, float]
-    criticality: float
-
-
-@dataclass(frozen=True)
 class RoiCloud:
     """Criticality-weighted point set around the vehicle.
 
@@ -226,9 +220,6 @@ class RoiCloud:
     @property
     def total_criticality(self) -> float:
         return float(self.criticality.sum())
-
-    def point(self, i: int) -> RoiPoint:
-        return RoiPoint(tuple(self.points[i]), float(self.criticality[i]))
 
     def subset(self, mask: NDArray[np.bool_]) -> "RoiCloud":
         labels = self.side_labels[mask] if self.side_labels is not None else None

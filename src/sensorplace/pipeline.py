@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .annealer import anneal, best_selection, scaled_schedule
-from .coverage import build_coverage, cached_coverage
-from .errors import ConfigError, EmptyCloudError
+from .annealer import AnnealSchedule, anneal, best_selection, scaled_schedule
+from .coverage import CoverageData, build_coverage, cached_coverage
+from .errors import ConfigError, EmptyCloudError, InfeasibleError
 from .fixed_count import (
     SelectionResult,
     evaluate_bits,
@@ -56,7 +56,15 @@ from .reporting import (
 )
 from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_catalog, load_roi
 from .setcover import DEFAULT_QUBO_ENUMERATION_BITS, build_iqp, solve_exhaustive_qubo, to_ising
-from .vqe import MAX_QUBITS, EncodingMap, OptimizerConfig, vqe_fixed_count, vqe_ising
+from .vqe import (
+    MAX_QUBITS,
+    AnsatzSpec,
+    EncodingMap,
+    OptimizerConfig,
+    basis_energies,
+    vqe_fixed_count,
+    vqe_ising,
+)
 
 #: Orientation sets tilted toward the region each side actually faces
 #: (negative = clockwise from above).
@@ -113,7 +121,7 @@ class RunConfig:
 
 
 def validate_config(config: RunConfig) -> None:
-    """Reject invalid pairings, grids and solver size overruns before any compute."""
+    """Reject invalid pairings, grids, solver settings and size overruns before any compute."""
     if config.approach not in APPROACH_SOLVERS:
         raise ConfigError(f"unknown approach {config.approach!r}")
     if not config.solvers:
@@ -131,6 +139,21 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("fixed_count needs a nonempty sensor_counts sweep")
     if config.coverage_weight < 0.0 or config.cost_weight < 0.0:
         raise ConfigError("coverage_weight and cost_weight must be non-negative")
+    # each solver setting is checked by the settings object that uses it,
+    # whichever solvers are selected
+    for name, build in (
+        ("anneal_reads", lambda v: AnnealSchedule(num_reads=v)),
+        ("anneal_sweeps", lambda v: AnnealSchedule(sweeps_per_read=v)),
+        ("vqe_max_evals", lambda v: OptimizerConfig(max_evals=v)),
+        ("vqe_layers", lambda v: AnsatzSpec(1, v)),
+    ):
+        try:
+            build(getattr(config, name))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}={getattr(config, name)!r}: {exc}") from None
+    for name in ("shots", "num_stochastic_runs"):
+        if getattr(config, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(config, name)!r}")
     if len(config.grid) != 2 or min(config.grid) < 1:
         raise ConfigError(f"grid must be two positive cell counts, got {config.grid!r}")
     # solver size caps, checked per side before any coverage is built
@@ -217,14 +240,6 @@ def config_from_dict(d: dict) -> RunConfig:
 
 
 @dataclass
-class SideArtifacts:
-    side: Side
-    cloud: RoiCloud
-    configs: list[SensorConfig]
-    data: object
-
-
-@dataclass
 class RunOutputs:
     reports: dict[str, AggregateReport]
     sweep_rows: list[SweepRow]
@@ -244,7 +259,7 @@ def _resolve_catalog(config: RunConfig):
     return load_catalog(config.catalog_path) if config.catalog_path else DEFAULT_CATALOG
 
 
-def _prepare_side(config: RunConfig, cloud: RoiCloud, catalog, side: Side) -> SideArtifacts:
+def _prepare_side(config: RunConfig, cloud: RoiCloud, catalog, side: Side) -> CoverageData:
     """Candidates and coverage of one side (cached when ``cache_dir`` is set)."""
     grid = PlacementGrid(side, config.grid[0], config.grid[1], config.side_orientations(side))
     configs = enumerate_configs(catalog, config.vehicle, grid)
@@ -253,7 +268,7 @@ def _prepare_side(config: RunConfig, cloud: RoiCloud, catalog, side: Side) -> Si
         data = cached_coverage(side_cloud, configs, catalog, config.cache_dir, config.fov_model)
     else:
         data = build_coverage(side_cloud, configs, catalog, config.fov_model)
-    return SideArtifacts(side, side_cloud, configs, data)
+    return data
 
 
 def _stochastic_runs(
@@ -276,64 +291,59 @@ def _stochastic_runs(
 
 
 def _solve_fixed_count(
-    config: RunConfig, solver: str, art: SideArtifacts, catalog, out: Path
-) -> tuple[SelectionResult, list[SweepRow]]:
-    """One side's best result over the sensor-count sweep, and its sweep rows."""
-    side = art.side
+    config: RunConfig, solver: str, side: Side, data: CoverageData, catalog, out: Path
+) -> tuple[SelectionResult | None, list[SweepRow]]:
+    """One side's best result over the sensor-count sweep (None when every
+    count fails), and one sweep row per count."""
     problem = make_problem(
-        art.data, catalog, num_sensors=1,
+        data, catalog, num_sensors=1,
         coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
     )
-    rows: list[SweepRow] = []
-    side_best: SelectionResult | None = None
-    if solver in ("exhaustive", "greedy"):
-        fn = solve_exhaustive if solver == "exhaustive" else solve_greedy
-        outcome = sweep_num_sensors(problem, config.sensor_counts, solver=fn)
-        for entry in outcome.entries:
-            rows.append(SweepRow(side, entry.num_sensors, solver, entry.result, None, entry.error))
-        side_best = outcome.best
-    else:  # vqe
+    stats: dict[int, RunStats] = {}
+    if solver == "exhaustive":
+        fn = solve_exhaustive
+    elif solver == "greedy":
+        fn = solve_greedy
+    else:  # vqe: the best of the seeded runs is the count's result
         encoding = EncodingMap(
             config.grid[0], config.grid[1], len(catalog), len(config.side_orientations(side)),
         )
         optimizer = OptimizerConfig(max_evals=config.vqe_max_evals)
-        for k in config.sensor_counts:
-            try:
-                prob_k = replace(problem, num_sensors=int(k))
-            except ValueError as exc:
-                rows.append(SweepRow(side, int(k), solver, None, None, str(exc)))
-                continue
-            best, stats = _stochastic_runs(
+
+        def fn(prob_k):
+            k = prob_k.num_sensors
+            best, stats[k] = _stochastic_runs(
                 config,
                 lambda seed: vqe_fixed_count(
                     prob_k, encoding, num_layers=config.vqe_layers, optimizer=optimizer,
                     shots=config.shots, seed=seed,
                 ),
-                ("vqe_fc", side.value, int(k)),
+                ("vqe_fc", side.value, k),
                 f"trace_{solver}_{side.value}_k{k}",
                 out,
             )
-            rows.append(SweepRow(side, int(k), solver, best, stats))
-            if side_best is None or best.objective < side_best.objective:
-                side_best = best
-    if side_best is None:
-        raise ConfigError(f"no feasible result for side {side.value} with solver {solver}")
-    return side_best, rows
+            return best
+
+    outcome = sweep_num_sensors(problem, config.sensor_counts, solver=fn)
+    rows = [
+        SweepRow(side, e.num_sensors, solver, e.result, stats.get(e.num_sensors), e.error)
+        for e in outcome.entries
+    ]
+    return outcome.best, rows
 
 
 def _solve_setcover(
-    config: RunConfig, solver: str, art: SideArtifacts, catalog, out: Path
+    config: RunConfig, solver: str, side: Side, data: CoverageData, catalog, out: Path
 ) -> tuple[SelectionResult, list[SweepRow]]:
     """One side's free-count result, and its single sweep row."""
-    side = art.side
     model = build_iqp(
-        art.data, catalog,
+        data, catalog,
         coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
     )
     stats = None
     if solver == "exhaustive":
         bits, _energy = solve_exhaustive_qubo(model)
-        problem = make_problem(art.data, catalog, 1, config.coverage_weight, config.cost_weight)
+        problem = make_problem(data, catalog, 1, config.coverage_weight, config.cost_weight)
         result = evaluate_bits(bits, problem, "exhaustive_qubo")
     elif solver == "anneal":
         ising = to_ising(model)
@@ -347,18 +357,20 @@ def _solve_setcover(
         if config.dump_samples:
             samples.to_csv(out / f"samples_{side.value}.csv")
         result = best_selection(
-            samples, art.data, catalog,
+            samples, data, catalog,
             config.coverage_weight, config.cost_weight, seed=schedule.seed,
         )
     else:  # vqe
         ising = to_ising(model)
         optimizer = OptimizerConfig(max_evals=config.vqe_max_evals)
+        energies = basis_energies(ising)  # shared by every run on this side
         result, stats = _stochastic_runs(
             config,
             lambda seed: vqe_ising(
-                ising, art.data, catalog,
+                ising, data, catalog,
                 coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
                 num_layers=config.vqe_layers, optimizer=optimizer, seed=seed,
+                energies=energies,
             ),
             ("vqe_ising", side.value),
             f"trace_{solver}_{side.value}",
@@ -411,8 +423,10 @@ def run(config: RunConfig) -> RunOutputs:
 
     Emits ``sweep.csv``, ``aggregate.csv``, ``adherence.csv``,
     ``selections.json`` and ``manifest.json`` into ``output_dir``.
-    A side without coverable points gets one ``n/a`` sweep row per solver
-    and a null selection; the run fails only when every side is empty.
+    A side without coverable points gets one ``n/a`` sweep row per solver,
+    and a side whose every sensor count fails keeps its per-count error
+    rows; either gets a null selection.  The run fails, after writing
+    ``sweep.csv``, only when no solver produced a selection on any side.
     Deterministic: identical configurations yield byte-identical CSVs.
     """
     validate_config(config)
@@ -421,31 +435,31 @@ def run(config: RunConfig) -> RunOutputs:
 
     catalog = _resolve_catalog(config)
     cloud = _resolve_cloud(config)
-    sides: dict[Side, SideArtifacts] = {}
+    sides: dict[Side, CoverageData] = {}
     empty: dict[Side, str] = {}
     for side in SIDE_ORDER:
         try:
             sides[side] = _prepare_side(config, cloud, catalog, side)
         except EmptyCloudError as exc:
             empty[side] = f"{type(exc).__name__}: {exc}"
-    if not sides:
-        raise EmptyCloudError(f"no side of the cloud can be solved ({empty[SIDE_ORDER[0]]})")
 
     solve_side = _solve_fixed_count if config.approach == "fixed_count" else _solve_setcover
-    reports: dict[str, AggregateReport] = {}
+    selections: dict[str, dict[Side, SelectionResult | None]] = {}
     sweep_rows: list[SweepRow] = []
     for solver in config.solvers:
-        per_side: dict[Side, SelectionResult | None] = {}
+        per_side = selections[solver] = {}
         for side in SIDE_ORDER:
             if side in empty:
                 per_side[side] = None
                 sweep_rows.append(SweepRow(side, None, solver, None, error=empty[side]))
             else:
-                per_side[side], rows = solve_side(config, solver, sides[side], catalog, out)
+                per_side[side], rows = solve_side(config, solver, side, sides[side], catalog, out)
                 sweep_rows.extend(rows)
-        reports[solver] = aggregate(per_side, cloud, catalog)
 
     write_sweep_csv(out / "sweep.csv", sweep_rows)
+    if all(r is None for per_side in selections.values() for r in per_side.values()):
+        raise InfeasibleError(f"no solver produced a selection on any side; see {out / 'sweep.csv'}")
+    reports = {solver: aggregate(per_side, cloud, catalog) for solver, per_side in selections.items()}
     write_aggregate_csv(out / "aggregate.csv", reports)
     write_adherence_csv(out / "adherence.csv", reports)
     _write_selections(out / "selections.json", reports)

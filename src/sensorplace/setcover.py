@@ -48,7 +48,6 @@ class QuadraticModel:
     quadratic: NDArray[np.float64]
     offset: float
     variable_names: tuple[str, ...]
-    sense: str = "min"
 
     def __post_init__(self):
         n = self.linear.shape[0]
@@ -132,30 +131,17 @@ def build_iqp(
     catalog,
     coverage_weight: float = 1.0,
     cost_weight: float = 1e-4,
-    position_penalty: float | None = None,
 ) -> QuadraticModel:
     """Quadratic program for trading approximate coverage against cost.
 
-    Position uniqueness is deliberately not encoded by default: on a
-    reasonably sized grid every cell can physically hold a sensor and the
-    slack variables needed for inequality rows would enlarge the model.
-    Pass ``position_penalty`` to add a quadratic penalty on every pair of
-    candidates sharing a mount position for experimentation.
+    Position uniqueness is deliberately not encoded: on a reasonably
+    sized grid every cell can physically hold a sensor and the slack
+    variables needed for inequality rows would enlarge the model.
     """
     costs = config_costs(data.configs, catalog)
     linear = -coverage_weight * data.singles + cost_weight * costs
     quadratic = 0.5 * coverage_weight * data.overlaps.copy()
     np.fill_diagonal(quadratic, 0.0)
-    if position_penalty is not None:
-        from .fixed_count import position_index_map
-
-        groups, _ = position_index_map(data.configs)
-        for members in groups.values():
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    i, j = members[a], members[b]
-                    quadratic[i, j] += position_penalty / 2.0
-                    quadratic[j, i] += position_penalty / 2.0
     return QuadraticModel(
         linear=linear,
         quadratic=quadratic,

@@ -8,8 +8,7 @@ itself (``(layer + 1) % n == 0``) carries no entangler, as does a
 single-qubit register.  An L-layer ansatz therefore exposes ``n * L``
 rotation angles.
 
-Two objective modes drive a restarted gradient-free optimizer (COBYLA by
-default, downhill simplex as an option):
+Two objective modes drive a restarted COBYLA search:
 
 * fixed-count mode measures the circuit, keeps the most frequent
   feasible basis states as the sensor selection, and scores it with the
@@ -294,34 +293,26 @@ def select_feasible_topk(
 # Gradient-free optimizer driver
 
 
+#: COBYLA's initial trust-region radius and final accuracy.
+RHO_BEGIN = 0.7
+F_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Gradient-free optimizer settings for the variational loops.
+    """Evaluation budgets of the restarted COBYLA search.
 
     The run draws fresh random starting angles until ``max_evals``
     objective evaluations are spent, giving each local search at most
-    ``max_evals_per_start`` of them.  ``method`` selects the local
-    search routine:
-
-    * ``"cobyla"`` (default): linear-approximation trust region with
-      initial radius ``rho_begin`` and final accuracy ``f_tol``;
-    * ``"nelder-mead"``: downhill simplex with the standard
-      reflection/expansion/contraction/shrink coefficients (1, 2, 0.5,
-      0.5) and absolute tolerance ``f_tol``.
+    ``max_evals_per_start`` of them.
     """
 
     max_evals: int = 500
     max_evals_per_start: int = 100
-    method: str = "cobyla"
-    f_tol: float = 1e-6
-    x_tol: float = 1e-4
-    rho_begin: float = 0.7
 
     def __post_init__(self):
         if self.max_evals < 0 or self.max_evals_per_start < 1:
             raise ValueError("evaluation budgets must be positive")
-        if self.method not in ("cobyla", "nelder-mead"):
-            raise ValueError(f"unknown optimizer method {self.method!r}")
 
 
 def _minimize_multistart(fn, num_params: int, cfg: OptimizerConfig, rng: np.random.Generator) -> int:
@@ -343,28 +334,15 @@ def _minimize_multistart(fn, num_params: int, cfg: OptimizerConfig, rng: np.rand
 
     while evals < cfg.max_evals:
         start_budget = min(cfg.max_evals_per_start, cfg.max_evals - evals)
-        if cfg.method == "cobyla" and start_budget < num_params + 2:
+        if start_budget < num_params + 2:
             break
         x0 = rng.uniform(-np.pi, np.pi, num_params)
-        if cfg.method == "cobyla":
-            sciopt.minimize(
-                counted,
-                x0,
-                method="COBYLA",
-                options={"maxiter": start_budget, "rhobeg": cfg.rho_begin, "tol": cfg.f_tol},
-            )
-        else:
-            sciopt.minimize(
-                counted,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxfev": start_budget,
-                    "fatol": cfg.f_tol,
-                    "xatol": cfg.x_tol,
-                    "disp": False,
-                },
-            )
+        sciopt.minimize(
+            counted,
+            x0,
+            method="COBYLA",
+            options={"maxiter": start_budget, "rhobeg": RHO_BEGIN, "tol": F_TOL},
+        )
     return evals
 
 
@@ -468,52 +446,48 @@ def basis_energies(model: IsingModel) -> NDArray[np.float64]:
     return model.energies(bits.astype(float) * 2.0 - 1.0)
 
 
+#: Probability at which a basis state counts as observed: the level a
+#: thousand-shot histogram reveals almost surely.
+OBSERVATION_FLOOR = 0.01
+
+
 def minimize_ising_expectation(
     model: IsingModel,
     num_layers: int = 3,
     optimizer: OptimizerConfig = OptimizerConfig(),
     seed: int = 0,
-    shots: int | None = None,
-    observation_floor: float = 0.01,
+    energies: NDArray[np.float64] | None = None,
 ) -> DiagonalVqeOutcome:
     """Drive the ansatz to minimize the expected spin-model energy.
 
     The expectation is computed exactly from the statevector
-    probabilities by default (deterministic); pass ``shots`` to estimate
-    it from a sampled histogram instead.  The returned answer is the
-    best-energy basis state observed across the run: in shots mode every
-    sampled state counts as observed; in exact mode the states with
-    probability at least ``observation_floor`` do (0.01 is the level a
-    thousand-shot histogram reveals almost surely), falling back to the
-    most probable state when none clears the floor.
+    probabilities, so a run is deterministic for its seed.  The returned
+    answer is the best-energy basis state observed across the run: the
+    states with probability at least ``OBSERVATION_FLOOR``, or the most
+    probable state when none clears the floor.  ``energies`` is
+    ``basis_energies(model)``, computed here when not given.
     """
     n = model.num_spins
     _check_qubits(n)
-    energies = basis_energies(model)
+    if energies is None:
+        energies = basis_energies(model)
     rng = np.random.default_rng(seed)
     base = uniform_state(n)
 
     best: dict = {"energy": None, "state": None, "expectation": None}
     trace: list[tuple[int, float, NDArray[np.float64]]] = []
 
-    def observe(states) -> None:
-        states = np.asarray(states, dtype=int)
-        k = int(states[np.argmin(energies[states])])
-        if best["energy"] is None or energies[k] < best["energy"]:
-            best["energy"] = float(energies[k])
-            best["state"] = k
-
     def score(theta) -> float:
         state = apply_ansatz(base, AnsatzSpec(n, num_layers, theta))
         probs = np.abs(state) ** 2
-        if shots is None:
-            expectation = float(probs @ energies)
-            visible = np.flatnonzero(probs >= observation_floor)
-            observe(visible if visible.size else [int(np.argmax(probs))])
-        else:
-            histogram = sample_histogram(state, shots, rng)
-            expectation = sum(c * energies[b] for b, c in histogram.items()) / shots
-            observe(list(histogram))
+        expectation = float(probs @ energies)
+        visible = np.flatnonzero(probs >= OBSERVATION_FLOOR)
+        if not visible.size:
+            visible = np.array([np.argmax(probs)])
+        k = int(visible[np.argmin(energies[visible])])
+        if best["energy"] is None or energies[k] < best["energy"]:
+            best["energy"] = float(energies[k])
+            best["state"] = k
         trace.append((len(trace), expectation, np.array(theta, dtype=float)))
         if best["expectation"] is None or expectation < best["expectation"]:
             best["expectation"] = expectation
@@ -539,20 +513,18 @@ def vqe_ising(
     num_layers: int = 3,
     optimizer: OptimizerConfig = OptimizerConfig(),
     seed: int = 0,
-    shots: int | None = None,
-    observation_floor: float = 0.01,
+    energies: NDArray[np.float64] | None = None,
 ) -> VqeRun:
     """Variational free-count selection over the spin form of the quadratic model.
 
     One qubit per candidate.  The best-energy basis state observed is
     decoded into a selection and reported with its exact union coverage.
+    Repeated runs on one model can share its ``basis_energies``.
     """
     if model.num_spins != data.num_configs:
         raise ValueError("one spin per candidate required")
     problem = make_problem(data, catalog, 1, coverage_weight, cost_weight)
-    outcome = minimize_ising_expectation(
-        model, num_layers, optimizer, seed, shots, observation_floor
-    )
+    outcome = minimize_ising_expectation(model, num_layers, optimizer, seed, energies)
     bits = enumerate_bits(np.array([outcome.best_state], dtype=np.int64), model.num_spins)[0]
     result = evaluate_bits(bits, problem, "vqe_ising", seed=seed)
     return VqeRun(result=result, trace=outcome.trace, num_evals=outcome.num_evals)

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from sensorplace.coverage import (
-    WeightedSet,
     build_coverage,
     cached_coverage,
     coverage_cache_key,
     exact_union_coverage,
     load_coverage,
     save_coverage,
-    weighted_cardinality,
 )
 from sensorplace.errors import EmptyCloudError
 from sensorplace.geometry import RoiCloud, SensorConfig, SensorSpec, Side, fov_contains
@@ -116,28 +114,6 @@ class TestBuildCoverage:
         zero_crit = RoiCloud(np.array([[1.0, 0.0, 0.0]]), np.array([0.0]))
         with pytest.raises(EmptyCloudError):
             build_coverage(zero_crit, [], catalog)
-
-
-class TestWeightedCardinality:
-    def test_direct_formula(self):
-        cloud = RoiCloud(
-            np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
-            np.array([0.5, 0.7, 0.8]),
-        )
-        assert weighted_cardinality([0, 1], cloud) == pytest.approx(1.2 / 2.0)
-
-    def test_empty_and_full(self):
-        rng = np.random.default_rng(2)
-        cloud = random_cloud(rng, 50)
-        assert weighted_cardinality([], cloud) == 0.0
-        assert weighted_cardinality(range(50), cloud) == pytest.approx(1.0)
-
-    def test_weighted_set_wrapper(self):
-        rng = np.random.default_rng(4)
-        cloud = random_cloud(rng, 20)
-        ws = WeightedSet.from_members([3, 5], cloud)
-        assert ws.members == (3, 5)
-        assert ws.weighted_cardinality == weighted_cardinality([3, 5], cloud)
 
 
 class TestExactUnionCoverage:

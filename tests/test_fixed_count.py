@@ -14,7 +14,6 @@ from sensorplace.errors import BudgetExceededError
 from sensorplace.exports import write_fixed_count_lp
 from sensorplace import fixed_count
 from sensorplace.fixed_count import (
-    check_feasible,
     evaluate_bits,
     evaluate_selection,
     make_problem,
@@ -80,23 +79,6 @@ class TestObjective:
             assert abs(j + problem.coverage_weight * cov - problem.cost_weight * cost) < 1e-12
 
 
-class TestFeasibility:
-    def test_same_position_is_infeasible(self):
-        rng = np.random.default_rng(3)
-        _, _, catalog, data = side_instance(rng, grid=(2, 2))
-        problem = make_problem(data, catalog, num_sensors=2)
-        # candidates 0 and 4 are different types at the same grid cell
-        assert problem.position_of[0] == problem.position_of[4]
-        assert not check_feasible([0, 4], problem)
-
-    def test_count_must_match(self):
-        rng = np.random.default_rng(4)
-        _, _, catalog, data = side_instance(rng, grid=(2, 2))
-        problem = make_problem(data, catalog, num_sensors=3)
-        assert not check_feasible([0, 5], problem)
-        assert check_feasible([0, 5, 10], problem)
-
-
 class TestEvaluateSelection:
     def test_reads_the_problems_position_map(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -144,11 +126,11 @@ class TestSolveExhaustive:
             (
                 objective(sel, problem)
                 for sel in itertools.combinations(range(8), 2)
-                if check_feasible(sel, problem)
+                if evaluate_selection(sel, problem, "test").feasible
             ),
         )
         assert result.objective == best
-        assert check_feasible(result.selected, problem)
+        assert evaluate_selection(result.selected, problem, "test").feasible
         assert result.feasible
 
     def test_single_sensor_is_argmin_over_singles(self):
@@ -225,8 +207,8 @@ class TestSolveGreedy:
             greedy = solve_greedy(problem)
             exact = solve_exhaustive(problem)
             assert greedy.objective >= exact.objective - 1e-12
-            assert check_feasible(greedy.selected, problem)
-            assert check_feasible(exact.selected, problem)
+            assert evaluate_selection(greedy.selected, problem, "test").feasible
+            assert evaluate_selection(exact.selected, problem, "test").feasible
 
     def test_single_sensor_matches_exhaustive(self):
         rng = np.random.default_rng(9)

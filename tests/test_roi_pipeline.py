@@ -322,6 +322,25 @@ class TestRunPipeline:
         assert len(sweep) == 2 + 4 * 2  # stats columns filled for stochastic runs
         assert "n/a" not in sweep[2].split(",")[7]  # runs column populated
 
+    def test_basis_energies_computed_once_per_side(self, tmp_path, monkeypatch):
+        from sensorplace import vqe
+
+        calls = []
+
+        def counted(model):
+            calls.append(model.num_spins)
+            return original(model)
+
+        original = vqe.basis_energies
+        monkeypatch.setattr(vqe, "basis_energies", counted)
+        monkeypatch.setattr(pipeline, "basis_energies", counted)
+        config = small_config(
+            tmp_path / "v", approach="setcover", solvers=("vqe",), grid=(1, 2),
+            num_stochastic_runs=3, vqe_max_evals=5,
+        )
+        run(config)
+        assert calls == [8, 8, 8, 8]  # one per side, not one per run
+
     def test_byte_identical_reruns(self, tmp_path):
         config_a = small_config(
             tmp_path / "r1",
@@ -543,6 +562,72 @@ class TestCli:
         argv = ["solve", "--roi", str(roi), "--grid", "1x1", "--solver", "greedy", "--max-sensors", "1"]
         assert cli_main([*argv, "--outdir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--anneal-reads", "0", "anneal_reads"),
+            ("--anneal-sweeps", "0", "anneal_sweeps"),
+            ("--vqe-layers", "0", "vqe_layers"),
+            ("--shots", "0", "shots"),
+            ("--vqe-max-evals", "-1", "vqe_max_evals"),
+            ("--runs", "0", "num_stochastic_runs"),
+        ],
+    )
+    def test_out_of_range_solver_settings_exit_2_before_coverage(
+        self, tmp_path, capsys, monkeypatch, flag, value, field
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("coverage was built")
+
+        monkeypatch.setattr(pipeline, "build_coverage", unreachable)
+        argv = ["solve", "--grid", "1x2", "--synthetic-extent", "6", "--synthetic-spacing", "1.0",
+                "--solver", "greedy", "--max-sensors", "1", "--outdir", str(tmp_path / "out")]
+        assert cli_main([*argv, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
+    def test_failing_vqe_count_keeps_the_other_counts(self, tmp_path):
+        # one shot per evaluation never shows two distinct positions, so k=2 fails
+        argv = ["solve", "--grid", "2x2", "--solver", "vqe", "--min-sensors", "1", "--max-sensors", "2",
+                "--shots", "1", "--runs", "1", "--vqe-max-evals", "10"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli_main([*argv, "--outdir", str(first)]) == 0
+        assert cli_main([*argv, "--outdir", str(second)]) == 0
+        for name in ("sweep.csv", "aggregate.csv", "adherence.csv", "selections.json", "manifest.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        rows = list(csv.DictReader((first / "sweep.csv").read_text().splitlines()[1:]))
+        assert len(rows) == 8
+        for row in rows:
+            if row["n_sensors"] == "1":
+                assert row["error"] == "" and row["runs"] == "1" and row["coverage"] != "n/a"
+            else:
+                assert row["error"].startswith("InsufficientSupportError: ")
+                assert row["coverage"] == "n/a"
+
+    def test_side_whose_every_count_fails_gets_a_null_selection(self, tmp_path):
+        # C(64, 6) exceeds the exhaustive budget on every side; greedy still solves them
+        argv = ["solve", "--grid", "4x4", "--synthetic-extent", "6", "--synthetic-spacing", "1.0",
+                "--min-sensors", "6", "--max-sensors", "6", "--outdir", str(tmp_path / "out")]
+        assert cli_main([*argv, "--solver", "greedy", "--solver", "exhaustive"]) == 0
+        selections = json.loads((tmp_path / "out" / "selections.json").read_text())
+        assert all(r is None for r in selections["exhaustive"].values())
+        assert all(r is not None for r in selections["greedy"].values())
+        aggregate_rows = (tmp_path / "out" / "aggregate.csv").read_text().splitlines()
+        assert "exhaustive,front,n/a,n/a,n/a,n/a" in aggregate_rows
+        sweep = list(csv.DictReader((tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]))
+        assert {r["error"].split(":")[0] for r in sweep if r["solver"] == "exhaustive"} == {"BudgetExceededError"}
+
+    def test_no_selection_anywhere_exits_2_after_writing_sweep(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["solve", "--grid", "4x4", "--synthetic-extent", "6", "--synthetic-spacing", "1.0",
+                "--min-sensors", "6", "--max-sensors", "6", "--solver", "exhaustive", "--outdir", str(out)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()[1:]))
+        assert [r["side"] for r in rows] == [s.value for s in Side]
+        assert all(r["error"].startswith("BudgetExceededError: ") for r in rows)
+        assert not (out / "selections.json").exists()
 
     def test_invalid_pairing_fails_cleanly(self, tmp_path):
         rc = cli_main(

@@ -10,7 +10,6 @@ import pytest
 from sensorplace.coverage import exact_union_coverage
 from sensorplace.errors import BudgetExceededError
 from sensorplace.exports import read_qubo_coo, write_iqp_lp, write_qubo_coo
-from sensorplace.fixed_count import position_index_map
 from sensorplace.geometry import config_costs
 from sensorplace.setcover import (
     IsingModel,
@@ -114,22 +113,6 @@ class TestBuildIqp:
         model = build_iqp(data, catalog)
         assert np.all(model.quadratic.diagonal() == 0.0)
         assert np.array_equal(model.quadratic, model.quadratic.T)
-
-    def test_position_penalty_mode(self):
-        rng = np.random.default_rng(6)
-        _, _, catalog, data = side_instance(rng, grid=(2, 2))
-        plain = build_iqp(data, catalog)
-        penalized = build_iqp(data, catalog, position_penalty=10.0)
-        groups, _ = position_index_map(data.configs)
-        i, j = groups[0][0], groups[0][1]  # same cell, different types
-        x = np.zeros(data.num_configs)
-        x[i] = x[j] = 1.0
-        assert penalized.energy(x) == pytest.approx(plain.energy(x) + 10.0, abs=1e-12)
-        # selections without a shared position are unaffected
-        k = groups[1][0]
-        y = np.zeros(data.num_configs)
-        y[i] = y[k] = 1.0
-        assert penalized.energy(y) == pytest.approx(plain.energy(y), abs=1e-12)
 
 
 class TestIsingConversion:

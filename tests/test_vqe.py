@@ -381,14 +381,6 @@ class TestIsingLoop:
             bits = [(basis >> (3 - q)) & 1 for q in range(4)]
             assert energies[basis] == pytest.approx(model.energy_of_bits(bits), abs=1e-12)
 
-    def test_shot_based_estimation_mode(self):
-        model = ising_model(np.array([-1.0, 0.5]), {(0, 1): 0.2}, 0.0)
-        out = minimize_ising_expectation(
-            model, optimizer=OptimizerConfig(max_evals=60), seed=2, shots=512
-        )
-        exact = basis_energies(model).min()
-        assert out.best_energy == pytest.approx(exact, abs=1e-12)
-
     def test_expectation_consistency_samples_vs_exact(self):
         # sample-estimated energy approaches the exact expectation
         rng = np.random.default_rng(8)
