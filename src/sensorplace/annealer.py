@@ -170,9 +170,7 @@ def best_selection(
     catalog,
     coverage_weight: float = 1.0,
     cost_weight: float = 1e-4,
-    solver_tag: str = "anneal",
     seed: int | None = None,
-    run_index: int | None = None,
 ):
     """Decode the lowest-energy sample into a :class:`SelectionResult`.
 
@@ -184,4 +182,4 @@ def best_selection(
     if len(samples) == 0:
         raise ValueError("sample set is empty")
     problem = make_problem(data, catalog, 1, coverage_weight, cost_weight)
-    return evaluate_bits(samples.best()[0], problem, solver_tag, seed=seed, run_index=run_index)
+    return evaluate_bits(samples.best()[0], problem, "anneal", seed=seed)

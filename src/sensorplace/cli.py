@@ -68,7 +68,6 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--side", default="front", choices=[s.value for s in SIDE_ORDER])
     p.add_argument("--coverage-weight", type=float, default=_DEFAULTS.coverage_weight)
     p.add_argument("--cost-weight", type=float, default=_DEFAULTS.cost_weight)
-    p.add_argument("--fov-model", default=_DEFAULTS.fov_model, choices=["elliptical", "independent"])
 
 
 def _parse_grid(text: str) -> tuple[int, int]:

@@ -58,7 +58,6 @@ def build_coverage(
     cloud: RoiCloud,
     configs: list[SensorConfig] | tuple[SensorConfig, ...],
     catalog: tuple[SensorSpec, ...],
-    fov_model: str = "elliptical",
 ) -> CoverageData:
     """Compute masks, singles and pairwise overlaps for the given candidates.
 
@@ -74,7 +73,7 @@ def build_coverage(
     n_cfg = len(configs)
     masks = np.zeros((n_cfg, len(cloud)), dtype=bool)
     for i, cfg in enumerate(configs):
-        masks[i] = fov_mask(cfg, catalog[cfg.type_index], cloud.points, fov_model)
+        masks[i] = fov_mask(cfg, catalog[cfg.type_index], cloud.points)
 
     mask_f = masks.astype(float)
     weighted = mask_f * cloud.criticality
@@ -117,7 +116,6 @@ def coverage_cache_key(
     cloud: RoiCloud,
     configs: list[SensorConfig] | tuple[SensorConfig, ...],
     catalog: tuple[SensorSpec, ...],
-    fov_model: str = "elliptical",
 ) -> str:
     """Content hash identifying a (cloud, candidates, catalog) combination."""
     h = hashlib.sha256()
@@ -127,7 +125,6 @@ def coverage_cache_key(
         h.update(repr((cfg.type_index, cfg.position, cfg.orientation, cfg.side.value)).encode())
     for spec in catalog:
         h.update(repr((spec.name, spec.alpha_h, spec.alpha_v, spec.range, spec.cost)).encode())
-    h.update(fov_model.encode())
     h.update(str(COVERAGE_CACHE_VERSION).encode())
     return h.hexdigest()
 
@@ -166,17 +163,16 @@ def cached_coverage(
     configs,
     catalog,
     cache_dir,
-    fov_model: str = "elliptical",
 ) -> CoverageData:
     """Build coverage, or load it from ``cache_dir`` when already computed."""
     from pathlib import Path
 
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    key = coverage_cache_key(cloud, configs, catalog, fov_model)
+    key = coverage_cache_key(cloud, configs, catalog)
     path = cache_dir / f"coverage_{key}.npz"
     if path.exists():
         return load_coverage(path)
-    data = build_coverage(cloud, configs, catalog, fov_model)
+    data = build_coverage(cloud, configs, catalog)
     save_coverage(data, path)
     return data

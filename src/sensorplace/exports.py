@@ -86,14 +86,13 @@ def write_fixed_count_lp(fh, problem: FixedCountProblem) -> None:
     fh.write("End\n")
 
 
-def write_iqp_lp(fh, model: QuadraticModel, data: CoverageData | None = None) -> None:
+def write_iqp_lp(fh, model: QuadraticModel, data: CoverageData) -> None:
     """Emit the free-count quadratic model with position-uniqueness rows.
 
     The quadratic objective uses the LP bracket convention: a pair term
     ``c x_i * x_j`` inside ``[ ... ] / 2`` contributes ``c / 2``, so the
     full pair coefficient ``2 * quadratic[i, j]`` is written as
-    ``4 * quadratic[i, j]``.  Position rows are included when coverage
-    data is supplied.
+    ``4 * quadratic[i, j]``.
     """
     n = model.num_variables
     names = [f"x{i}" for i in range(n)]
@@ -114,11 +113,10 @@ def write_iqp_lp(fh, model: QuadraticModel, data: CoverageData | None = None) ->
         )
         fh.write("\n   + [ " + wrapped + " ] / 2")
     fh.write("\nSubject To\n")
-    if data is not None:
-        groups, _ = position_index_map(data.configs)
-        for p in sorted(groups):
-            members = " + ".join(names[i] for i in groups[p])
-            fh.write(f" pos{p}: {members} <= 1\n")
+    groups, _ = position_index_map(data.configs)
+    for p in sorted(groups):
+        members = " + ".join(names[i] for i in groups[p])
+        fh.write(f" pos{p}: {members} <= 1\n")
     fh.write("Binaries\n")
     for name in names:
         fh.write(f" {name}\n")

@@ -46,7 +46,6 @@ class SelectionResult:
     feasible: bool
     configs: tuple[SensorConfig, ...] = ()
     seed: int | None = None
-    run_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,6 @@ def evaluate_selection(
     problem: FixedCountProblem,
     solver_tag: str,
     seed: int | None = None,
-    run_index: int | None = None,
     free_count: bool = False,
 ) -> SelectionResult:
     """Package a selection into a :class:`SelectionResult` with exact metrics.
@@ -148,7 +146,6 @@ def evaluate_selection(
         feasible=distinct and (free_count or len(idx) == problem.num_sensors),
         configs=tuple(problem.data.configs[i] for i in idx),
         seed=seed,
-        run_index=run_index,
     )
 
 
@@ -157,10 +154,9 @@ def evaluate_bits(
     problem: FixedCountProblem,
     solver_tag: str,
     seed: int | None = None,
-    run_index: int | None = None,
 ) -> SelectionResult:
     """Decode a free-count bit vector (bit i set = candidate i mounted) and score it."""
-    return evaluate_selection(np.flatnonzero(bits), problem, solver_tag, seed, run_index, free_count=True)
+    return evaluate_selection(np.flatnonzero(bits), problem, solver_tag, seed, free_count=True)
 
 
 def solve_exhaustive(

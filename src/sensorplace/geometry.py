@@ -242,19 +242,12 @@ def fov_mask(
     cfg: SensorConfig,
     spec: SensorSpec,
     points: NDArray[np.float64],
-    fov_model: str = "elliptical",
 ) -> NDArray[np.bool_]:
-    """Vectorized field-of-view membership for an (n, 3) array of points.
+    """Vectorized membership of an (n, 3) array of points in the sensor's elliptical cone.
 
-    ``fov_model`` selects between the elliptical-cone condition (default)
-    and an ``"independent"`` variant that checks the horizontal and
-    vertical angles separately (a wider, pyramid-like volume kept for
-    sensitivity studies).  Boundary geometry counts as covered; the
-    mount point itself is covered; points strictly behind the apex plane
-    are not.
+    Boundary geometry counts as covered; the mount point itself is
+    covered; points strictly behind the apex plane are not.
     """
-    if fov_model not in ("elliptical", "independent"):
-        raise ValueError(f"unknown fov model {fov_model!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     apex = np.asarray(cfg.position, dtype=float)
     phi = boresight_angle(cfg)
@@ -275,10 +268,7 @@ def fov_mask(
         rh = y_l / (x_l * tan_h)
         rv = z_l / (x_l * tan_v)
         # NaN from 0/0 compares False, which is the wanted answer off-axis.
-        if fov_model == "elliptical":
-            in_cone = rh * rh + rv * rv <= 1.0 + CONE_EDGE_SLACK
-        else:
-            in_cone = (np.abs(rh) <= 1.0 + CONE_EDGE_SLACK) & (np.abs(rv) <= 1.0 + CONE_EDGE_SLACK)
+        in_cone = rh * rh + rv * rv <= 1.0 + CONE_EDGE_SLACK
 
     return in_range & ((x_l > 0.0) & in_cone | at_apex)
 
@@ -287,10 +277,9 @@ def fov_contains(
     cfg: SensorConfig,
     spec: SensorSpec,
     point,
-    fov_model: str = "elliptical",
 ) -> bool:
     """Scalar wrapper around :func:`fov_mask` for a single point."""
-    return bool(fov_mask(cfg, spec, np.asarray(point, dtype=float).reshape(1, 3), fov_model)[0])
+    return bool(fov_mask(cfg, spec, np.asarray(point, dtype=float).reshape(1, 3))[0])
 
 
 def grid_positions(vehicle: VehicleModel, grid: PlacementGrid) -> NDArray[np.float64]:
@@ -358,25 +347,22 @@ def partition_roi(cloud: RoiCloud, vehicle: VehicleModel) -> RoiCloud:
 def enumerate_configs(
     catalog: tuple[SensorSpec, ...],
     vehicle: VehicleModel,
-    grids: PlacementGrid | list[PlacementGrid] | tuple[PlacementGrid, ...],
+    grid: PlacementGrid,
 ) -> list[SensorConfig]:
-    """All candidate placements for one or more grids.
+    """All candidate placements of one grid.
 
-    Within each grid the ordering is type-major, then row-major position,
-    then orientation, so a candidate's index is
+    The ordering is type-major, then row-major position, then
+    orientation, so a candidate's index is
     ``(t * num_positions + p) * num_orientations + o``.
     """
     if not catalog:
         raise ValueError("sensor catalog must be nonempty")
-    if isinstance(grids, PlacementGrid):
-        grids = (grids,)
+    positions = grid_positions(vehicle, grid)
     configs: list[SensorConfig] = []
-    for grid in grids:
-        positions = grid_positions(vehicle, grid)
-        for t in range(len(catalog)):
-            for pos in positions:
-                for o in grid.orientations:
-                    configs.append(SensorConfig(t, tuple(pos), float(o), grid.side))
+    for t in range(len(catalog)):
+        for pos in positions:
+            for o in grid.orientations:
+                configs.append(SensorConfig(t, tuple(pos), float(o), grid.side))
     return configs
 
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -104,7 +106,6 @@ class RunConfig:
     anneal_sweeps: int = 1000
     vqe_layers: int = 3
     vqe_max_evals: int = 500
-    fov_model: str = "elliptical"
     output_dir: str = "runs/out"
     cache_dir: str | None = None
     dump_samples: bool = False
@@ -112,7 +113,7 @@ class RunConfig:
 
     def side_orientations(self, side: Side) -> tuple[float, ...]:
         if self.orientations is not None:
-            return self.orientations[side]
+            return self.orientations.get(side, ())
         if self.orientation_mode == "fixed":
             return (0.0,)
         if self.orientation_mode == "free":
@@ -137,6 +138,8 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("exactly one of roi_path and synthetic must be given")
     if config.approach == "fixed_count" and not config.sensor_counts:
         raise ConfigError("fixed_count needs a nonempty sensor_counts sweep")
+    if any(k < 1 for k in config.sensor_counts):
+        raise ConfigError(f"every sensor count must be >= 1, got {config.sensor_counts!r}")
     if config.coverage_weight < 0.0 or config.cost_weight < 0.0:
         raise ConfigError("coverage_weight and cost_weight must be non-negative")
     # each solver setting is checked by the settings object that uses it,
@@ -160,13 +163,15 @@ def validate_config(config: RunConfig) -> None:
     h, v = config.grid
     num_types = len(_resolve_catalog(config))
     for side in SIDE_ORDER:
-        num_orients = len(config.side_orientations(side))  # validates the orientation mode
-        candidates = h * v * num_types * num_orients
+        angles = config.side_orientations(side)  # validates the orientation mode
+        if not angles or not np.isfinite(angles).all():
+            raise ConfigError(f"side {side.value} needs nonempty finite orientations, got {angles!r}")
+        candidates = h * v * num_types * len(angles)
         if "vqe" in config.solvers:
             if config.approach == "setcover":
                 qubits = candidates
             else:
-                qubits = EncodingMap(h, v, num_types, num_orients).num_qubits
+                qubits = EncodingMap(h, v, num_types, len(angles)).num_qubits
             if qubits > MAX_QUBITS:
                 raise ConfigError(
                     f"vqe on side {side.value} needs {qubits} qubits; the simulator is "
@@ -197,6 +202,20 @@ def _plain(value):
     return value
 
 
+def _has_type(value, hint) -> bool:
+    """Whether ``value`` is of the annotated type ``hint`` as it stands: an
+    int passes for a float and a list for a tuple, a bool for no number."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_has_type(value, a) for a in args)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return len(value) == len(items) and all(map(_has_type, value, items))
+    if hint is float:
+        hint = int | float
+    return isinstance(value, origin or hint) and (hint is bool or not isinstance(value, bool))
+
+
 def _spec_from_dict(cls, d: dict):
     """A nested spec (cloud, vehicle) with each value coerced to its default's type."""
     unknown = set(d) - {f.name for f in fields(cls)}
@@ -219,11 +238,15 @@ def config_to_dict(config: RunConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    """Inverse of :func:`config_to_dict`; absent keys keep the dataclass defaults."""
+    """Inverse of :func:`config_to_dict`; absent keys keep the dataclass defaults.
+
+    Values other than nested specs and orientation angles are not coerced.
+    """
     defaults = {f.name: f.default for f in fields(RunConfig)}
     unknown = set(d) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    hints = get_type_hints(RunConfig)
     kwargs = {}
     try:
         for name, value in d.items():
@@ -231,10 +254,14 @@ def config_from_dict(d: dict) -> RunConfig:
                 value = _spec_from_dict(type(defaults[name]), value)
             elif name == "orientations" and value is not None:
                 value = {Side(k): tuple(float(a) for a in v) for k, v in value.items()}
+            elif not _has_type(value, hints[name]):
+                hint = hints[name]
+                expected = hint.__name__ if isinstance(hint, type) else hint
+                raise ConfigError(f"{name} must be {expected}, got {value!r}")
             elif isinstance(value, list):
                 value = tuple(value)
             kwargs[name] = value
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from None
     return RunConfig(**kwargs)
 
@@ -265,9 +292,9 @@ def _prepare_side(config: RunConfig, cloud: RoiCloud, catalog, side: Side) -> Co
     configs = enumerate_configs(catalog, config.vehicle, grid)
     side_cloud = cloud.side_cloud(side)
     if config.cache_dir:
-        data = cached_coverage(side_cloud, configs, catalog, config.cache_dir, config.fov_model)
+        data = cached_coverage(side_cloud, configs, catalog, config.cache_dir)
     else:
-        data = build_coverage(side_cloud, configs, catalog, config.fov_model)
+        data = build_coverage(side_cloud, configs, catalog)
     return data
 
 
@@ -283,7 +310,7 @@ def _stochastic_runs(
     runs = []
     for run_index in range(config.num_stochastic_runs):
         vqe_run = run_once(derive_seed(config.seed, *seed_parts, run_index))
-        runs.append(replace(vqe_run.result, run_index=run_index))
+        runs.append(vqe_run.result)
         if config.dump_traces:
             vqe_run.write_trace_csv(out / f"{trace_stem}_r{run_index}.csv")
     _, stats = drop_worst_and_summarize(runs)

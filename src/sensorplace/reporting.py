@@ -43,20 +43,17 @@ def adherence(
     configs,
     cloud: RoiCloud,
     catalog,
-    threshold: float = ADHERENCE_THRESHOLD,
 ) -> tuple[float, float]:
     """Fractions of critical points inside >= 2 FoVs and >= 2 distinct-type FoVs.
 
-    Raises :class:`NoCriticalPointsError` when no point reaches the
-    threshold, so callers can report an explicit not-applicable marker
-    instead of a bogus 0/0.
+    Raises :class:`NoCriticalPointsError` when no point reaches
+    ``ADHERENCE_THRESHOLD``, so callers can report an explicit
+    not-applicable marker instead of a bogus 0/0.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-    critical = cloud.criticality >= threshold
+    critical = cloud.criticality >= ADHERENCE_THRESHOLD
     denom = int(critical.sum())
     if denom == 0:
-        raise NoCriticalPointsError(f"no points with criticality >= {threshold}")
+        raise NoCriticalPointsError(f"no points with criticality >= {ADHERENCE_THRESHOLD}")
     pts = cloud.points[critical]
 
     configs = list(configs)

@@ -183,12 +183,11 @@ def enumerate_bits(indices: NDArray[np.int64], n: int) -> NDArray[np.uint8]:
 
 def solve_exhaustive_qubo(
     model: QuadraticModel,
-    max_bits: int = DEFAULT_QUBO_ENUMERATION_BITS,
 ) -> tuple[NDArray[np.uint8], float]:
     """Global minimizer over all 2^N assignments (lexicographic tie-break)."""
     n = model.num_variables
-    if n > max_bits:
-        raise BudgetExceededError(2**n, 2**max_bits)
+    if n > DEFAULT_QUBO_ENUMERATION_BITS:
+        raise BudgetExceededError(2**n, 2**DEFAULT_QUBO_ENUMERATION_BITS)
     best_energy = None
     best_bits = None
     total = 1 << n

@@ -297,22 +297,24 @@ def select_feasible_topk(
 RHO_BEGIN = 0.7
 F_TOL = 1e-6
 
+#: Most objective evaluations one local search may spend.
+MAX_EVALS_PER_START = 100
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Evaluation budgets of the restarted COBYLA search.
+    """Evaluation budget of the restarted COBYLA search.
 
     The run draws fresh random starting angles until ``max_evals``
     objective evaluations are spent, giving each local search at most
-    ``max_evals_per_start`` of them.
+    ``MAX_EVALS_PER_START`` of them.
     """
 
     max_evals: int = 500
-    max_evals_per_start: int = 100
 
     def __post_init__(self):
-        if self.max_evals < 0 or self.max_evals_per_start < 1:
-            raise ValueError("evaluation budgets must be positive")
+        if self.max_evals < 0:
+            raise ValueError("the evaluation budget must be non-negative")
 
 
 def _minimize_multistart(fn, num_params: int, cfg: OptimizerConfig, rng: np.random.Generator) -> int:
@@ -333,7 +335,7 @@ def _minimize_multistart(fn, num_params: int, cfg: OptimizerConfig, rng: np.rand
         return fn(theta)
 
     while evals < cfg.max_evals:
-        start_budget = min(cfg.max_evals_per_start, cfg.max_evals - evals)
+        start_budget = min(MAX_EVALS_PER_START, cfg.max_evals - evals)
         if start_budget < num_params + 2:
             break
         x0 = rng.uniform(-np.pi, np.pi, num_params)

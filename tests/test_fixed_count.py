@@ -89,12 +89,12 @@ class TestEvaluateSelection:
             raise AssertionError("position map rebuilt while scoring")
 
         monkeypatch.setattr(fixed_count, "position_index_map", rebuilt)
-        result = evaluate_selection([5, 0], problem, "test", seed=7, run_index=1)
+        result = evaluate_selection([5, 0], problem, "test", seed=7)
         assert result.selected == (0, 5) and result.feasible
         assert result.objective == objective([0, 5], problem)
         assert result.cost == float(problem.costs[[0, 5]].sum())
         assert result.configs == (data.configs[0], data.configs[5])
-        assert (result.solver_tag, result.seed, result.run_index) == ("test", 7, 1)
+        assert (result.solver_tag, result.seed) == ("test", 7)
         assert not evaluate_selection([0, 4], problem, "test").feasible  # shared position
 
     def test_count_applies_to_fixed_count_only(self):

@@ -86,16 +86,6 @@ class TestFovContains:
         assert fov_contains(turned, self.spec, (0.0, 5.0, 0.0))
         assert not fov_contains(turned, self.spec, (5.0, -1.0, 0.0))
 
-    def test_independent_angle_variant_is_wider(self):
-        # corner of the angular box: inside independent, outside elliptical
-        point = (5.0, 4.0, 4.0)
-        assert not fov_contains(self.cfg, self.spec, point, fov_model="elliptical")
-        assert fov_contains(self.cfg, self.spec, point, fov_model="independent")
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            fov_contains(self.cfg, self.spec, (1.0, 0.0, 0.0), fov_model="cubic")
-
 
 class TestFovOracleAgreement:
     def test_matches_oracle_on_random_pairs(self):

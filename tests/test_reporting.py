@@ -104,11 +104,6 @@ class TestAdherence:
         with pytest.raises(NoCriticalPointsError):
             adherence([], cloud, self.catalog)
 
-    def test_threshold_validated(self):
-        cloud = RoiCloud(np.array([[5.0, 0.0, 1.0]]), np.array([0.9]))
-        with pytest.raises(ValueError):
-            adherence([], cloud, self.catalog, threshold=1.5)
-
 
 class TestAggregate:
     catalog = (SensorSpec("beam", 30.0, 30.0, 40.0, 50.0),)

@@ -587,6 +587,47 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
+    @pytest.mark.parametrize(
+        "doc, flags, named",
+        [
+            ({"shots": "abc"}, [], "shots"),
+            ({"coverage_weight": "abc"}, [], "coverage_weight"),
+            ({"anneal_reads": 2.5}, [], "anneal_reads"),
+            ({"sensor_counts": 3}, [], "sensor_counts"),
+            ({"seed": "abc"}, [], "seed"),
+            ({"seed": True}, [], "seed"),
+            ({"sensor_counts": [1.5]}, [], "sensor_counts"),
+            ({"sensor_counts": [0, 1]}, [], "sensor count"),
+            ({"orientations": {"front": [0], "left": [0], "right": [0]}}, [], "side back"),
+            ({"orientations": {"front": [], "back": [0], "left": [0], "right": [0]}}, [], "side front"),
+            ({"fov_model": "elliptical"}, [], "fov_model"),
+            ({}, ["--orientations", "0,nan"], "side front"),
+        ],
+    )
+    def test_mistyped_config_values_exit_2_before_coverage(
+        self, tmp_path, capsys, monkeypatch, doc, flags, named
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("coverage was built")
+
+        monkeypatch.setattr(pipeline, "build_coverage", unreachable)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({"solvers": ["greedy"], "grid": [1, 2], **doc}))
+        assert cli_main(["solve", "--config", str(cfg), "--outdir", str(tmp_path / "out"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_integer_weight_is_kept_as_given(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        out = tmp_path / "out"
+        cfg.write_text(yaml.safe_dump({
+            "solvers": ["greedy"], "grid": [1, 2], "sensor_counts": [1], "coverage_weight": 1,
+            "synthetic": {"extent": 6.0, "spacing": 1.0}, "output_dir": str(out),
+        }))
+        assert cli_main(["solve", "--config", str(cfg)]) == 0
+        weight = json.loads((out / "manifest.json").read_text())["config"]["coverage_weight"]
+        assert weight == 1 and type(weight) is int
+
     def test_failing_vqe_count_keeps_the_other_counts(self, tmp_path):
         # one shot per evaluation never shows two distinct positions, so k=2 fails
         argv = ["solve", "--grid", "2x2", "--solver", "vqe", "--min-sensors", "1", "--max-sensors", "2",

@@ -400,13 +400,13 @@ class TestIsingLoop:
 class TestOptimizerBudget:
     def test_cobyla_never_overspends(self):
         # 8 spins x 3 layers = 24 angles: COBYLA needs at least 26 evaluations
-        # per start, more than the 20 left after the first 30-evaluation start.
+        # per start, more than the 20 left after the first 100-evaluation start.
         rng = np.random.default_rng(11)
         model = ising_model(
             rng.normal(size=8),
             {(i, j): float(rng.normal()) for i in range(8) for j in range(i + 1, 8)},
         )
-        optimizer = OptimizerConfig(max_evals=50, max_evals_per_start=30)
+        optimizer = OptimizerConfig(max_evals=120)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = minimize_ising_expectation(model, optimizer=optimizer, seed=0)
