@@ -135,16 +135,22 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
     betas = schedule.betas()
     sweeps = schedule.sweeps_per_read
 
-    chunk = max(1, min(schedule.num_reads, _TAPE_BUDGET // (sweeps * n)))
+    # Equal chunks share one tape buffer, allocated once per call: a
+    # fresh, smaller tape for a last partial chunk can land on the heap
+    # and stay resident, which made peak memory differ between runs.
+    max_chunk = max(1, _TAPE_BUDGET // (sweeps * n))
+    num_chunks = -(-schedule.num_reads // max_chunk)
+    chunk = -(-schedule.num_reads // num_chunks)
+    buffer = np.empty((chunk, sweeps, n))
     all_bits = np.empty((schedule.num_reads, n), dtype=np.uint8)
     for lo in range(0, schedule.num_reads, chunk):
         hi = min(lo + chunk, schedule.num_reads)
         spins = np.empty((hi - lo, n))
-        tape = np.empty((hi - lo, sweeps, n))
+        tape = buffer[: hi - lo]
         for r in range(lo, hi):
             rng = _read_rng(schedule.seed, r)
             spins[r - lo] = rng.integers(0, 2, n) * 2.0 - 1.0
-            tape[r - lo] = rng.random((sweeps, n))
+            rng.random(out=tape[r - lo])
         for k in range(sweeps):
             beta = betas[k]
             for i in range(n):

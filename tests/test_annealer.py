@@ -58,6 +58,20 @@ class TestDeterminismAndBookkeeping:
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.multiplicities, b.multiplicities)
 
+    @pytest.mark.parametrize("reads_per_chunk", [1, 3, 7, 31])
+    def test_chunking_does_not_change_samples(self, monkeypatch, reads_per_chunk):
+        # 31 reads split into chunks that share one tape buffer (at 7 reads
+        # per chunk the last one is shorter) match the single-chunk run
+        rng = np.random.default_rng(5)
+        model = to_ising(random_qubo(rng, 8))
+        schedule = quick_schedule(seed=9, reads=31, sweeps=20)
+        whole = anneal(model, schedule)
+        monkeypatch.setattr("sensorplace.annealer._TAPE_BUDGET", reads_per_chunk * 20 * 8)
+        chunked = anneal(model, schedule)
+        assert np.array_equal(whole.assignments, chunked.assignments)
+        assert np.array_equal(whole.energies, chunked.energies)
+        assert np.array_equal(whole.multiplicities, chunked.multiplicities)
+
     def test_different_seed_differs(self):
         rng = np.random.default_rng(1)
         model = to_ising(random_qubo(rng, 8))
