@@ -18,14 +18,7 @@ from .annealer import (
     scaled_schedule,
     suggest_beta_range,
 )
-from .coverage import (
-    CoverageData,
-    build_coverage,
-    cached_coverage,
-    exact_union_coverage,
-    load_coverage,
-    save_coverage,
-)
+from .coverage import CoverageData, build_coverage, exact_union_coverage
 from .errors import (
     BudgetExceededError,
     ConfigError,

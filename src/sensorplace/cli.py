@@ -1,12 +1,13 @@
 """Command-line entry point.
 
-Subcommands: ``gen-roi`` (synthetic cloud to CSV), ``precompute``
-(coverage cache for one side), ``solve`` (full pipeline), ``report``
-(re-aggregate stored selections), ``export-lp`` and ``export-qubo``
-(model files for external solvers).  Every subcommand turns its flags
-into a :class:`RunConfig` the same way and resolves its instance
-through the pipeline.  Flags take their defaults from the dataclasses;
-when ``--config`` names a YAML file its values override the flags.
+Subcommands: ``gen-roi`` (synthetic cloud to CSV), ``solve`` (full
+pipeline), ``report`` (re-aggregate stored selections), ``export-lp``
+and ``export-qubo`` (one side's model file for external solvers).
+Every subcommand turns its flags into a :class:`RunConfig` the same way
+and resolves its instance through the pipeline; the exports apply the
+input checks of ``solve`` but not its solver size caps.  Flags take
+their defaults from the dataclasses; when ``--config`` names a YAML
+file its values override the flags.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, SensorPlaceError
@@ -28,6 +30,7 @@ from .pipeline import (
     config_from_dict,
     load_selections,
     run,
+    validate_inputs,
 )
 from .reporting import aggregate, write_adherence_csv, write_aggregate_csv
 from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_yaml, save_roi
@@ -114,6 +117,7 @@ def _run_config(args) -> RunConfig:
 def _side_instance(args):
     """(config, catalog, coverage data) of the ``--side`` face, built by the pipeline."""
     config = _run_config(args)
+    validate_inputs(config)
     catalog = _resolve_catalog(config)
     data = _prepare_side(config, _resolve_cloud(config), catalog, Side(args.side))
     return config, catalog, data
@@ -124,12 +128,6 @@ def _cmd_gen_roi(args) -> int:
     cloud = generate_synthetic_roi(config.synthetic, config.vehicle)
     save_roi(cloud, args.out)
     print(f"wrote {len(cloud)} points to {args.out}")
-    return 0
-
-
-def _cmd_precompute(args) -> int:
-    config, _catalog, data = _side_instance(args)
-    print(f"cached {data.num_configs} x {data.num_points} coverage in {config.cache_dir}")
     return 0
 
 
@@ -159,19 +157,17 @@ def _cmd_report(args) -> int:
 
 def _cmd_export_lp(args) -> int:
     config, catalog, data = _side_instance(args)
+    weights = dict(coverage_weight=config.coverage_weight, cost_weight=config.cost_weight)
+    if config.approach == "fixed_count":
+        try:
+            problem = make_problem(data, catalog, num_sensors=args.num_sensors, **weights)
+        except ValueError as exc:
+            raise ConfigError(f"--num-sensors: {exc}") from None
+        write = partial(write_fixed_count_lp, problem=problem)
+    else:
+        write = partial(write_iqp_lp, model=build_iqp(data, catalog, **weights), data=data)
     with open(args.out, "w") as fh:
-        if config.approach == "fixed_count":
-            problem = make_problem(
-                data, catalog, num_sensors=args.num_sensors,
-                coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
-            )
-            write_fixed_count_lp(fh, problem)
-        else:
-            model = build_iqp(
-                data, catalog,
-                coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
-            )
-            write_iqp_lp(fh, model, data)
+        write(fh)
     print(f"wrote {config.approach} LP model to {args.out}")
     return 0
 
@@ -204,11 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_gen_roi)
 
-    p = sub.add_parser("precompute", help="build and cache coverage for one side")
-    _add_instance_args(p)
-    p.add_argument("--cache-dir", required=True)
-    p.set_defaults(fn=_cmd_precompute)
-
     p = sub.add_parser("solve", help="run the full pipeline over all sides")
     _add_instance_args(p)
     p.add_argument("--config", help="YAML run config; file values override flags")
@@ -227,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("shots", "anneal_reads", "anneal_sweeps", "vqe_layers", "vqe_max_evals"):
         p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(_DEFAULTS, name))
     p.add_argument("--outdir", dest="output_dir", default=_DEFAULTS.output_dir)
-    p.add_argument("--cache-dir")
     p.add_argument("--dump-samples", action="store_true")
     p.add_argument("--dump-traces", action="store_true")
     p.set_defaults(fn=_cmd_solve)

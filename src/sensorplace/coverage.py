@@ -10,13 +10,13 @@ symmetric positive-semidefinite with ``singles`` on its diagonal.
 
 Building the matrix is embarrassingly parallel over candidates (each row
 is independent) and the result is immutable, so a
-:class:`CoverageData` can be shared read-only across workers.
+:class:`CoverageData` can be shared read-only across workers.  A run
+builds it in memory once per side, and every solver of that side reads
+the same instance; nothing is stored between runs.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +24,6 @@ from numpy.typing import NDArray
 
 from .errors import EmptyCloudError
 from .geometry import RoiCloud, SensorConfig, SensorSpec, fov_mask
-
-COVERAGE_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -107,72 +105,3 @@ def exact_union_coverage(selection, data: CoverageData) -> float:
     mask = union_mask(selection, data)
     return float(data.weights[mask].sum() / data.normalizer)
 
-
-# ---------------------------------------------------------------------------
-# Optional binary cache
-
-
-def coverage_cache_key(
-    cloud: RoiCloud,
-    configs: list[SensorConfig] | tuple[SensorConfig, ...],
-    catalog: tuple[SensorSpec, ...],
-) -> str:
-    """Content hash identifying a (cloud, candidates, catalog) combination."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(cloud.points).tobytes())
-    h.update(np.ascontiguousarray(cloud.criticality).tobytes())
-    for cfg in configs:
-        h.update(repr((cfg.type_index, cfg.position, cfg.orientation, cfg.side.value)).encode())
-    for spec in catalog:
-        h.update(repr((spec.name, spec.alpha_h, spec.alpha_v, spec.range, spec.cost)).encode())
-    h.update(str(COVERAGE_CACHE_VERSION).encode())
-    return h.hexdigest()
-
-
-def save_coverage(data: CoverageData, path) -> None:
-    configs_json = json.dumps([c.to_dict() for c in data.configs])
-    np.savez_compressed(
-        path,
-        version=COVERAGE_CACHE_VERSION,
-        masks=data.masks,
-        singles=data.singles,
-        overlaps=data.overlaps,
-        weights=data.weights,
-        normalizer=data.normalizer,
-        configs=configs_json,
-    )
-
-
-def load_coverage(path) -> CoverageData:
-    with np.load(path, allow_pickle=False) as z:
-        if int(z["version"]) != COVERAGE_CACHE_VERSION:
-            raise ValueError(f"unsupported coverage cache version {int(z['version'])}")
-        configs = tuple(SensorConfig.from_dict(c) for c in json.loads(str(z["configs"])))
-        return CoverageData(
-            masks=z["masks"].astype(bool),
-            singles=z["singles"],
-            overlaps=z["overlaps"],
-            weights=z["weights"],
-            normalizer=float(z["normalizer"]),
-            configs=configs,
-        )
-
-
-def cached_coverage(
-    cloud: RoiCloud,
-    configs,
-    catalog,
-    cache_dir,
-) -> CoverageData:
-    """Build coverage, or load it from ``cache_dir`` when already computed."""
-    from pathlib import Path
-
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    key = coverage_cache_key(cloud, configs, catalog)
-    path = cache_dir / f"coverage_{key}.npz"
-    if path.exists():
-        return load_coverage(path)
-    data = build_coverage(cloud, configs, catalog)
-    save_coverage(data, path)
-    return data

@@ -163,7 +163,7 @@ class SensorConfig:
     side: Side
 
     def to_dict(self) -> dict:
-        """JSON-ready form, as stored in coverage caches and ``selections.json``."""
+        """JSON-ready form, as stored in ``selections.json``."""
         return {
             "type_index": self.type_index,
             "position": list(self.position),

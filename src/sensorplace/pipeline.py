@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .annealer import AnnealSchedule, anneal, best_selection, scaled_schedule
-from .coverage import CoverageData, build_coverage, cached_coverage
+from .coverage import CoverageData, build_coverage
 from .errors import ConfigError, EmptyCloudError, InfeasibleError
 from .fixed_count import (
     SelectionResult,
@@ -107,7 +107,6 @@ class RunConfig:
     vqe_layers: int = 3
     vqe_max_evals: int = 500
     output_dir: str = "runs/out"
-    cache_dir: str | None = None
     dump_samples: bool = False
     dump_traces: bool = False
 
@@ -121,8 +120,15 @@ class RunConfig:
         raise ConfigError(f"unknown orientation mode {self.orientation_mode!r}")
 
 
-def validate_config(config: RunConfig) -> None:
-    """Reject invalid pairings, grids, solver settings and size overruns before any compute."""
+def validate_inputs(config: RunConfig) -> None:
+    """Reject mistyped values, invalid pairings, grids, orientation sets and
+    solver settings before any compute."""
+    hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        value, hint = getattr(config, f.name), hints[f.name]
+        if not _has_type(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
     if config.approach not in APPROACH_SOLVERS:
         raise ConfigError(f"unknown approach {config.approach!r}")
     if not config.solvers:
@@ -157,15 +163,22 @@ def validate_config(config: RunConfig) -> None:
     for name in ("shots", "num_stochastic_runs"):
         if getattr(config, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(config, name)!r}")
-    if len(config.grid) != 2 or min(config.grid) < 1:
+    if min(config.grid) < 1:
         raise ConfigError(f"grid must be two positive cell counts, got {config.grid!r}")
-    # solver size caps, checked per side before any coverage is built
-    h, v = config.grid
-    num_types = len(_resolve_catalog(config))
     for side in SIDE_ORDER:
         angles = config.side_orientations(side)  # validates the orientation mode
         if not angles or not np.isfinite(angles).all():
             raise ConfigError(f"side {side.value} needs nonempty finite orientations, got {angles!r}")
+
+
+def validate_config(config: RunConfig) -> None:
+    """The input checks of :func:`validate_inputs`, then each selected
+    solver's size cap per side, all before any compute."""
+    validate_inputs(config)
+    h, v = config.grid
+    num_types = len(_resolve_catalog(config))
+    for side in SIDE_ORDER:
+        angles = config.side_orientations(side)
         candidates = h * v * num_types * len(angles)
         if "vqe" in config.solvers:
             if config.approach == "setcover":
@@ -208,6 +221,8 @@ def _has_type(value, hint) -> bool:
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:
         return any(_has_type(value, a) for a in args)
+    if origin is dict and isinstance(value, dict):
+        return all(_has_type(k, args[0]) and _has_type(v, args[1]) for k, v in value.items())
     if origin is tuple and isinstance(value, (list, tuple)):
         items = args[:1] * len(value) if args[-1] is Ellipsis else args
         return len(value) == len(items) and all(map(_has_type, value, items))
@@ -240,28 +255,25 @@ def config_to_dict(config: RunConfig) -> dict:
 def config_from_dict(d: dict) -> RunConfig:
     """Inverse of :func:`config_to_dict`; absent keys keep the dataclass defaults.
 
-    Values other than nested specs and orientation angles are not coerced.
+    Values other than nested specs and orientation angles are not coerced;
+    :func:`validate_inputs` checks their types.
     """
     defaults = {f.name: f.default for f in fields(RunConfig)}
     unknown = set(d) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    hints = get_type_hints(RunConfig)
     kwargs = {}
     try:
         for name, value in d.items():
             if isinstance(value, dict) and is_dataclass(defaults[name]):
                 value = _spec_from_dict(type(defaults[name]), value)
-            elif name == "orientations" and value is not None:
-                value = {Side(k): tuple(float(a) for a in v) for k, v in value.items()}
-            elif not _has_type(value, hints[name]):
-                hint = hints[name]
-                expected = hint.__name__ if isinstance(hint, type) else hint
-                raise ConfigError(f"{name} must be {expected}, got {value!r}")
+            elif name == "orientations" and isinstance(value, dict):
+                value = {Side(k): tuple(map(float, v)) if isinstance(v, (list, tuple)) else v
+                         for k, v in value.items()}
             elif isinstance(value, list):
                 value = tuple(value)
             kwargs[name] = value
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from None
     return RunConfig(**kwargs)
 
@@ -287,15 +299,10 @@ def _resolve_catalog(config: RunConfig):
 
 
 def _prepare_side(config: RunConfig, cloud: RoiCloud, catalog, side: Side) -> CoverageData:
-    """Candidates and coverage of one side (cached when ``cache_dir`` is set)."""
+    """Candidates and coverage of one side."""
     grid = PlacementGrid(side, config.grid[0], config.grid[1], config.side_orientations(side))
     configs = enumerate_configs(catalog, config.vehicle, grid)
-    side_cloud = cloud.side_cloud(side)
-    if config.cache_dir:
-        data = cached_coverage(side_cloud, configs, catalog, config.cache_dir)
-    else:
-        data = build_coverage(side_cloud, configs, catalog)
-    return data
+    return build_coverage(cloud.side_cloud(side), configs, catalog)
 
 
 def _stochastic_runs(

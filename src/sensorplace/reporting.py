@@ -15,7 +15,7 @@ distinct sensor types.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,19 +117,22 @@ def aggregate(
 
 @dataclass(frozen=True)
 class RunStats:
-    """Retained-run statistics after dropping the single worst of a batch."""
+    """Retained-run statistics after dropping the single worst of a batch.
+
+    The fields are in ``sweep.csv`` column order.
+    """
 
     num_runs: int
     dropped_run: int
-    objective_mean: float
-    objective_min: float
-    objective_max: float
     coverage_mean: float
     coverage_min: float
     coverage_max: float
     cost_mean: float
     cost_min: float
     cost_max: float
+    objective_mean: float
+    objective_min: float
+    objective_max: float
 
 
 def drop_worst_and_summarize(runs: list[SelectionResult]) -> tuple[list[SelectionResult], RunStats]:
@@ -147,22 +150,12 @@ def drop_worst_and_summarize(runs: list[SelectionResult]) -> tuple[list[Selectio
         objectives = [r.objective for r in runs]
         dropped = int(np.argmax(objectives))
         retained = [r for i, r in enumerate(runs) if i != dropped]
-    obj = np.array([r.objective for r in retained])
-    cov = np.array([r.coverage for r in retained])
-    cost = np.array([r.cost for r in retained])
-    return retained, RunStats(
-        num_runs=len(runs),
-        dropped_run=dropped,
-        objective_mean=float(obj.mean()),
-        objective_min=float(obj.min()),
-        objective_max=float(obj.max()),
-        coverage_mean=float(cov.mean()),
-        coverage_min=float(cov.min()),
-        coverage_max=float(cov.max()),
-        cost_mean=float(cost.mean()),
-        cost_min=float(cost.min()),
-        cost_max=float(cost.max()),
-    )
+    summary = {}
+    for name in ("coverage", "cost", "objective"):
+        values = np.array([getattr(r, name) for r in retained])
+        for stat in ("mean", "min", "max"):
+            summary[f"{name}_{stat}"] = float(getattr(values, stat)())
+    return retained, RunStats(num_runs=len(runs), dropped_run=dropped, **summary)
 
 
 def best_run(runs: list[SelectionResult]) -> SelectionResult:
@@ -199,22 +192,16 @@ class SweepRow:
     error: str | None = None
 
 
-#: RunStats fields in sweep.csv column order; the header calls ``num_runs`` "runs".
-_STATS_COLUMNS = (
-    "num_runs", "dropped_run",
-    "coverage_mean", "coverage_min", "coverage_max",
-    "cost_mean", "cost_min", "cost_max",
-    "objective_mean", "objective_min", "objective_max",
-)
-
-
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
+    """One row per sweep entry; the ``RunStats`` columns follow ``selected``,
+    with ``num_runs`` headed "runs"."""
+    stats_columns = [f.name for f in fields(RunStats)]
     with open(path, "w", newline="") as fh:
         fh.write(SWEEP_SCHEMA + "\n")
         writer = csv.writer(fh)
         writer.writerow(
             ["side", "n_sensors", "solver", "coverage", "cost", "objective", "selected", "runs"]
-            + list(_STATS_COLUMNS[1:])
+            + stats_columns[1:]
             + ["error"]
         )
         for row in rows:
@@ -222,7 +209,7 @@ def write_sweep_csv(path, rows: list[SweepRow]) -> None:
             writer.writerow(
                 [row.side.value, _fmt(row.num_sensors), row.solver]
                 + _result_cells(row.result)
-                + [_fmt(getattr(s, name) if s else None) for name in _STATS_COLUMNS]
+                + [_fmt(getattr(s, name) if s else None) for name in stats_columns]
                 + [row.error or ""]
             )
 

@@ -1,18 +1,11 @@
-"""Coverage precompute vs nested-loop brute force, bound chain, cache."""
+"""Coverage precompute vs nested-loop brute force, and the bound chain."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from sensorplace.coverage import (
-    build_coverage,
-    cached_coverage,
-    coverage_cache_key,
-    exact_union_coverage,
-    load_coverage,
-    save_coverage,
-)
+from sensorplace.coverage import build_coverage, exact_union_coverage
 from sensorplace.errors import EmptyCloudError
 from sensorplace.geometry import RoiCloud, SensorConfig, SensorSpec, Side, fov_contains
 from sensorplace.setcover import approx_coverage
@@ -163,35 +156,3 @@ class TestBoundChain:
                 if len(sel) <= 2:
                     assert abs(exact - approx) <= 1e-9
 
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(31)
-        _, _, _, data = random_instance(rng)
-        path = tmp_path / "cov.npz"
-        save_coverage(data, path)
-        loaded = load_coverage(path)
-        assert np.array_equal(loaded.masks, data.masks)
-        assert np.array_equal(loaded.singles, data.singles)
-        assert np.array_equal(loaded.overlaps, data.overlaps)
-        assert np.array_equal(loaded.weights, data.weights)
-        assert loaded.normalizer == data.normalizer
-        assert loaded.configs == data.configs
-
-    def test_cached_coverage_hits(self, tmp_path):
-        rng = np.random.default_rng(32)
-        cloud, configs, catalog, data = random_instance(rng)
-        first = cached_coverage(cloud, configs, catalog, tmp_path)
-        key = coverage_cache_key(cloud, configs, catalog)
-        assert (tmp_path / f"coverage_{key}.npz").exists()
-        second = cached_coverage(cloud, configs, catalog, tmp_path)
-        assert np.array_equal(first.overlaps, second.overlaps)
-        assert np.array_equal(first.overlaps, data.overlaps)
-
-    def test_key_changes_with_inputs(self):
-        rng = np.random.default_rng(33)
-        cloud, configs, catalog, _ = random_instance(rng)
-        base = coverage_cache_key(cloud, configs, catalog)
-        other_cloud = RoiCloud(cloud.points, np.roll(cloud.criticality, 1))
-        assert coverage_cache_key(other_cloud, configs, catalog) != base
-        assert coverage_cache_key(cloud, configs[:-1], catalog) != base

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +253,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             run(RunConfig(output_dir=str(tmp_path / "out"), **overrides))
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (dict(shots="5"), "shots must be"),
+            (dict(solvers=("greedy", 1)), "solvers must be"),
+            (dict(orientations={s.value: (0.0,) for s in Side}), "orientations must be"),
+            (dict(orientations={s: "30" for s in Side}), "orientations must be"),
+        ],
+    )
+    def test_mistyped_python_config_rejected_before_coverage(self, tmp_path, monkeypatch, overrides, named):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("coverage was built")
+
+        monkeypatch.setattr(pipeline, "build_coverage", unreachable)
+        with pytest.raises(ConfigError, match=named):
+            run(RunConfig(output_dir=str(tmp_path / "out"), **overrides))
+
     @pytest.mark.parametrize("weight", ["coverage_weight", "cost_weight"])
     def test_negative_weights_rejected(self, weight):
         with pytest.raises(ConfigError):
@@ -380,14 +399,6 @@ class TestRunPipeline:
         rerun = run(rebuilt)
         assert (tmp_path / "d" / "sweep.csv").read_bytes() == (tmp_path / "d2" / "sweep.csv").read_bytes()
 
-    def test_cache_dir_reuse(self, tmp_path):
-        config = small_config(tmp_path / "e", cache_dir=str(tmp_path / "cache"))
-        run(config)
-        cached = list((tmp_path / "cache").glob("coverage_*.npz"))
-        assert len(cached) == 4  # one per side
-        run(small_config(tmp_path / "e2", cache_dir=str(tmp_path / "cache")))
-        assert list((tmp_path / "cache").glob("coverage_*.npz")) == cached
-
 
 class TestCli:
     def test_gen_roi_and_solve_and_report(self, tmp_path):
@@ -433,23 +444,28 @@ class TestCli:
         assert lp.read_text().startswith("\\ fixed sensor-count coverage model")
         assert cli_main(["export-qubo", *common, "--out", str(qubo)]) == 0
         assert qubo.read_text().startswith("# sensorplace qubo coo v1")
+        # the solver size caps of solve do not apply: 64 variables on the default 4x4 grid
+        assert cli_main(["export-lp", *common[2:], "--approach", "setcover", "--out", str(lp)]) == 0
 
-    def test_precompute(self, tmp_path):
-        cache = tmp_path / "cache"
-        assert (
-            cli_main(
-                [
-                    "precompute",
-                    "--grid", "2x2",
-                    "--synthetic-extent", "6",
-                    "--synthetic-spacing", "1.0",
-                    "--side", "front",
-                    "--cache-dir", str(cache),
-                ]
-            )
-            == 0
-        )
-        assert list(cache.glob("coverage_*.npz"))
+    @pytest.mark.parametrize("count", ["0", "9"])
+    def test_export_lp_sensor_count_out_of_range_exits_2(self, tmp_path, capsys, count):
+        out = tmp_path / "model.lp"
+        argv = ["export-lp", "--grid", "1x2", "--synthetic-extent", "6", "--synthetic-spacing", "1.0",
+                "--num-sensors", count, "--out", str(out)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "num_sensors" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        commands = [shlex.split(line, comments=True)
+                    for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+        assert commands
+        for argv in commands:
+            assert argv[0] == "sensorplace"
+            build_parser().parse_args(argv[1:])
 
     def test_config_file_overrides_flags(self, tmp_path):
         cfg = tmp_path / "run.yaml"
@@ -476,7 +492,6 @@ class TestCli:
         "argv, expected",
         [
             (["solve"], RunConfig()),
-            (["precompute", "--cache-dir", "c"], RunConfig(cache_dir="c")),
             (["export-lp", "--out", "o"], RunConfig()),
             (["export-qubo", "--out", "o"], RunConfig()),
         ],
@@ -485,14 +500,16 @@ class TestCli:
         assert _run_config(build_parser().parse_args(argv)) == expected
 
     @pytest.mark.parametrize(
-        "bad", [["--grid", "4"], ["--grid", "4xa"], ["--grid", "0x2"], ["--orientations", "0,abc"]]
+        "bad",
+        [["--grid", "4"], ["--grid", "4xa"], ["--grid", "0x2"], ["--orientations", "0,abc"],
+         ["--orientations", "0,nan"], ["--cost-weight", "-1"]],
     )
-    @pytest.mark.parametrize("command", ["solve", "export-qubo"])
+    @pytest.mark.parametrize("command", ["solve", "export-lp", "export-qubo"])
     def test_malformed_values_exit_2(self, tmp_path, capsys, command, bad):
         small = ["--grid", "1x2", "--synthetic-extent", "6", "--synthetic-spacing", "1.0"]
         target = ["--outdir", str(tmp_path / "x"), "--solver", "greedy", "--max-sensors", "1"]
-        if command == "export-qubo":
-            target = ["--out", str(tmp_path / "x.qubo")]
+        if command != "solve":
+            target = ["--out", str(tmp_path / "x.model")]
         assert cli_main([command, *small, *target, *bad]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -600,6 +617,7 @@ class TestCli:
             ({"sensor_counts": [0, 1]}, [], "sensor count"),
             ({"orientations": {"front": [0], "left": [0], "right": [0]}}, [], "side back"),
             ({"orientations": {"front": [], "back": [0], "left": [0], "right": [0]}}, [], "side front"),
+            ({"orientations": {"front": "30", "back": [0], "left": [0], "right": [0]}}, [], "orientations"),
             ({"fov_model": "elliptical"}, [], "fov_model"),
             ({}, ["--orientations", "0,nan"], "side front"),
         ],
