@@ -3,13 +3,23 @@
 Each read is an independent Metropolis chain: spins are proposed in
 sequential order within a sweep and the inverse temperature follows a
 geometric ramp from ``beta_start`` to ``beta_end`` across sweeps.  Every
-read derives its own random stream from ``(seed, read_index)``, so the
-sample set is identical no matter how reads are chunked, vectorized or
-distributed.  Acceptance draws are consumed in (sweep, spin) order, one
-per proposal.
+read derives its own random stream from ``(seed, read_index)``: it draws
+its initial spins first and then one uniform per proposal, in (sweep,
+spin) order, so the sample set does not depend on how the reads are
+batched or how its draws are blocked.
 
-Local fields are read from the model's dense symmetric coupling
-matrix ``J``: the field on spin ``i`` is ``spins @ J[:, i] + h[i]``.
+All reads advance together.  Spins are stored spin-major, as an
+``(n, reads)`` array, so the field on spin ``i`` for every read is one
+product of the contiguous row ``J[i]`` of the dense symmetric coupling
+matrix with the spin array, plus ``h[i]``.  Uniforms are drawn one block
+of sweeps at a time into a reused ``(reads, block, n)`` buffer and
+transposed once per block into an ``(block, n, reads)`` tape, so each
+proposal reads one contiguous row.  A block is as many sweeps as fit in
+``_TAPE_BUDGET`` doubles (8 MB) per buffer, and at least one, so the
+number of sweeps does not change the memory used; past ``2**20 / n``
+reads each buffer holds one sweep of every read.  The spin array and one
+generator per read also grow with the number of reads.
+
 Results are returned as a :class:`SampleSet`: unique assignments (as
 bits under the x = (1+z)/2 convention), their model energies and their
 multiplicities, sorted by energy.
@@ -19,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +38,8 @@ from numpy.typing import NDArray
 from .fixed_count import evaluate_bits, make_problem
 from .setcover import IsingModel
 
-# Memory cap for the per-chunk acceptance tape (doubles).
-_TAPE_BUDGET = 1 << 23
+# Memory cap for each of the two uniform block buffers (doubles).
+_TAPE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -72,6 +83,16 @@ class SampleSet:
             writer.writerow(["energy", "multiplicity", "bits"])
             for bits, e, m in zip(self.assignments, self.energies, self.multiplicities):
                 writer.writerow([repr(float(e)), int(m), "".join(str(int(b)) for b in bits)])
+
+
+def _mapped_buffer(shape: tuple[int, ...]) -> NDArray[np.float64]:
+    """A float buffer in its own anonymous memory map, unmapped when freed.
+
+    Buffers of a few MB taken from the heap could be left fragmented by
+    the allocations of the next run, whose buffers then grew the heap
+    instead, so peak memory differed from one instance to the next.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
 
 
 def _read_rng(seed: int, read_index: int) -> np.random.Generator:
@@ -131,34 +152,42 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
     n = model.num_spins
     if n == 0:
         raise ValueError("model must have at least one spin")
-    J = model.J
+    J, h = model.J, model.h
     betas = schedule.betas()
-    sweeps = schedule.sweeps_per_read
+    reads, sweeps = schedule.num_reads, schedule.sweeps_per_read
 
-    # Equal chunks share one tape buffer, allocated once per call: a
-    # fresh, smaller tape for a last partial chunk can land on the heap
-    # and stay resident, which made peak memory differ between runs.
-    max_chunk = max(1, _TAPE_BUDGET // (sweeps * n))
-    num_chunks = -(-schedule.num_reads // max_chunk)
-    chunk = -(-schedule.num_reads // num_chunks)
-    buffer = np.empty((chunk, sweeps, n))
-    all_bits = np.empty((schedule.num_reads, n), dtype=np.uint8)
-    for lo in range(0, schedule.num_reads, chunk):
-        hi = min(lo + chunk, schedule.num_reads)
-        spins = np.empty((hi - lo, n))
-        tape = buffer[: hi - lo]
-        for r in range(lo, hi):
-            rng = _read_rng(schedule.seed, r)
-            spins[r - lo] = rng.integers(0, 2, n) * 2.0 - 1.0
-            rng.random(out=tape[r - lo])
-        for k in range(sweeps):
-            beta = betas[k]
+    rngs = [_read_rng(schedule.seed, r) for r in range(reads)]
+    spins = np.empty((n, reads))
+    for r, rng in enumerate(rngs):
+        spins[:, r] = rng.integers(0, 2, n) * 2.0 - 1.0
+
+    block = max(1, min(sweeps, _TAPE_BUDGET // (reads * n)))
+    drawn = _mapped_buffer((reads, block, n))
+    tape = _mapped_buffer((block, n, reads))
+    local = np.empty(reads)
+    work = np.empty(reads)
+    accept = np.empty(reads, dtype=bool)
+    for first in range(0, sweeps, block):
+        size = min(block, sweeps - first)
+        for r, rng in enumerate(rngs):
+            rng.random(out=drawn[r, :size])
+        tape[:size] = drawn[:, :size].transpose(1, 2, 0)
+        for k in range(size):
+            neg_beta = -betas[first + k]
             for i in range(n):
-                local = spins @ J[:, i] + model.h[i]
-                delta = -2.0 * spins[:, i] * local
-                accept = tape[:, k, i] < np.exp(-beta * np.maximum(delta, 0.0))
-                spins[accept, i] *= -1.0
-        all_bits[lo:hi] = ((spins + 1.0) / 2.0).astype(np.uint8)
+                # accept iff u < exp(-beta * max(-2 * s_i * local_i, 0));
+                # (s * local) * -2 has the same bits as (-2 * s) * local
+                s = spins[i]
+                np.matmul(J[i], spins, out=local)
+                local += h[i]
+                np.multiply(s, local, out=work)
+                work *= -2.0
+                np.maximum(work, 0.0, out=work)
+                work *= neg_beta
+                np.exp(work, out=work)
+                np.less(tape[k, i], work, out=accept)
+                np.negative(s, out=s, where=accept)
+    all_bits = (spins.T > 0.0).astype(np.uint8)
 
     unique, counts = np.unique(all_bits, axis=0, return_counts=True)
     energies = model.energies(unique.astype(float) * 2.0 - 1.0)

@@ -20,6 +20,7 @@ acceptance check can run without any external dataset.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,12 +164,14 @@ class SyntheticRoiSpec:
     z_levels: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        if self.spacing <= 0.0:
-            raise ValueError("spacing must be positive")
-        if self.extent <= 0.0:
-            raise ValueError("extent must be positive")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing!r}")
+        if not 0.0 < self.extent < math.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent!r}")
         if not self.z_levels:
             raise ValueError("at least one z level required")
+        if not all(map(math.isfinite, self.z_levels)):
+            raise ValueError(f"z levels must be finite, got {self.z_levels!r}")
         parse_profile(self.profile)  # fail fast on typos
 
 
@@ -182,8 +185,10 @@ def parse_profile(profile: str):
         if len(args) != 1 or not 0.0 <= args[0] <= 1.0:
             raise ValueError("uniform profile takes one value in [0, 1]")
     elif name == "inverse_distance":
-        if len(args) not in (1, 2) or args[0] <= 0.0:
-            raise ValueError("inverse_distance takes a positive scale and an optional jitter fraction")
+        if len(args) not in (1, 2) or not 0.0 < args[0] < math.inf:
+            raise ValueError(
+                "inverse_distance takes a positive finite scale and an optional jitter fraction"
+            )
         if len(args) == 2 and not 0.0 <= args[1] <= 1.0:
             raise ValueError("jitter fraction must lie in [0, 1]")
     else:

@@ -13,8 +13,10 @@ from sensorplace.annealer import (
     suggest_beta_range,
     _read_rng,
 )
+from sensorplace.geometry import Side
 from sensorplace.setcover import build_iqp, solve_exhaustive_qubo, to_ising
 
+from annealer_oracle import anneal_read_major
 from conftest import TWO_TYPE_CATALOG, ising_model, side_instance
 from test_fixed_count import disjoint_instance
 from test_setcover import random_qubo
@@ -58,19 +60,20 @@ class TestDeterminismAndBookkeeping:
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.multiplicities, b.multiplicities)
 
-    @pytest.mark.parametrize("reads_per_chunk", [1, 3, 7, 31])
-    def test_chunking_does_not_change_samples(self, monkeypatch, reads_per_chunk):
-        # 31 reads split into chunks that share one tape buffer (at 7 reads
-        # per chunk the last one is shorter) match the single-chunk run
+    @pytest.mark.parametrize("sweeps_per_block", [1, 3, 7])
+    def test_sweep_blocks_do_not_change_samples(self, monkeypatch, sweeps_per_block):
+        # 20 sweeps drawn in blocks of 1, 3 or 7 (the last block of 3 or 7
+        # is shorter and reuses the front of the buffers) match the
+        # single-block run
         rng = np.random.default_rng(5)
         model = to_ising(random_qubo(rng, 8))
         schedule = quick_schedule(seed=9, reads=31, sweeps=20)
         whole = anneal(model, schedule)
-        monkeypatch.setattr("sensorplace.annealer._TAPE_BUDGET", reads_per_chunk * 20 * 8)
-        chunked = anneal(model, schedule)
-        assert np.array_equal(whole.assignments, chunked.assignments)
-        assert np.array_equal(whole.energies, chunked.energies)
-        assert np.array_equal(whole.multiplicities, chunked.multiplicities)
+        monkeypatch.setattr("sensorplace.annealer._TAPE_BUDGET", sweeps_per_block * 31 * 8)
+        blocked = anneal(model, schedule)
+        assert np.array_equal(whole.assignments, blocked.assignments)
+        assert np.array_equal(whole.energies, blocked.energies)
+        assert np.array_equal(whole.multiplicities, blocked.multiplicities)
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(1)
@@ -161,6 +164,59 @@ class TestDeterminismAndBookkeeping:
         first = lines[1].split(",")
         assert float(first[0]) == samples.energies[0]
         assert first[2] == "".join(str(int(b)) for b in samples.assignments[0])
+
+
+class TestMatchesReadMajorOracle:
+    """The spin-major kernel draws the same uniforms and makes the same
+    accept decisions as the read-major kernel it replaced, bit for bit."""
+
+    @staticmethod
+    def assert_same(model, schedule):
+        new, old = anneal(model, schedule), anneal_read_major(model, schedule)
+        assert np.array_equal(new.assignments, old.assignments)
+        assert np.array_equal(new.energies, old.energies)
+        assert np.array_equal(new.multiplicities, old.multiplicities)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dyadic_random_models(self, seed):
+        rng = np.random.default_rng(1200 + seed)
+        model = to_ising(random_qubo(rng, int(rng.integers(2, 14)), dyadic=True))
+        self.assert_same(model, quick_schedule(seed=seed, reads=40, sweeps=60))
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_dyadic_criticality_side_models(self, side):
+        rng = np.random.default_rng(1300)
+        _, _, catalog, data = side_instance(rng, catalog=TWO_TYPE_CATALOG, side=side)
+        model = to_ising(build_iqp(data, catalog))
+        self.assert_same(model, scaled_schedule(model, num_reads=50, sweeps_per_read=40, seed=3))
+
+    @pytest.mark.parametrize("reads, sweeps", [(1, 60), (40, 1), (1, 1)])
+    def test_single_read_or_single_sweep(self, reads, sweeps):
+        rng = np.random.default_rng(1400)
+        model = to_ising(random_qubo(rng, 9, dyadic=True))
+        self.assert_same(model, quick_schedule(seed=4, reads=reads, sweeps=sweeps))
+
+    @pytest.mark.parametrize("h", [-0.75, 0.0, 0.5])
+    def test_single_spin(self, h):
+        self.assert_same(ising_model(np.array([h]), {}, 0.25), quick_schedule(seed=2, reads=30, sweeps=25))
+
+    def test_sweeps_not_a_multiple_of_the_block(self, monkeypatch):
+        # 7 + 7 + 7 + 2 sweeps; the short last block reuses the buffers' front
+        rng = np.random.default_rng(1500)
+        model = to_ising(random_qubo(rng, 11, dyadic=True))
+        schedule = quick_schedule(seed=6, reads=25, sweeps=23)
+        monkeypatch.setattr("sensorplace.annealer._TAPE_BUDGET", 7 * 25 * 11)
+        self.assert_same(model, schedule)
+
+    def test_float_four_by_four_side_model(self):
+        # 64 spins with float couplings: field sums are rounded, and the
+        # spin-major row product may sum them in another order than the
+        # read-major column product
+        rng = np.random.default_rng(1600)
+        _, _, catalog, data = side_instance(rng, grid=(4, 4), exact=False)
+        model = to_ising(build_iqp(data, catalog))
+        assert model.num_spins == 64
+        self.assert_same(model, scaled_schedule(model, num_reads=40, sweeps_per_read=30, seed=8))
 
 
 class TestGroundStateRecovery:

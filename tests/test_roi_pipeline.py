@@ -513,6 +513,31 @@ class TestCli:
         assert cli_main([command, *small, *target, *bad]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [["--synthetic-extent", "nan"], ["--synthetic-spacing", "nan"], ["--synthetic-extent", "inf"],
+         ["--synthetic-spacing", "inf"], ["--synthetic-profile", "inverse_distance(nan)"],
+         ["--synthetic-profile", "inverse_distance(inf)"], ["--config", "z_levels.yaml"]],
+    )
+    def test_non_finite_synthetic_cloud_exits_2(self, tmp_path, capsys, bad):
+        # NaN passed the positivity checks and crashed the grid generator
+        # (or, as a profile scale, wrote NaN coverage); inf overflowed it
+        (tmp_path / "z_levels.yaml").write_text("synthetic: {z_levels: [1.0, .nan]}\n")
+        if bad[0] == "--config":
+            bad = ["--config", str(tmp_path / bad[1])]
+        argv = ["solve", "--grid", "1x1", "--solver", "greedy", "--max-sensors", "1",
+                "--outdir", str(tmp_path / "out"), *bad]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_z_level_exits_2_in_gen_roi(self, tmp_path, capsys):
+        out = tmp_path / "roi.csv"
+        assert cli_main(["gen-roi", "--out", str(out), "--z-levels", "1,nan"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_orientation_list_applies_to_every_side(self, tmp_path):
         out = tmp_path / "out"
         args = ["--grid", "1x2", "--synthetic-extent", "6", "--synthetic-spacing", "1.0"]
