@@ -8,11 +8,17 @@ directly from the precomputed masks.
 
 `solve_exhaustive` is the desk-scale exact reference; `solve_greedy` is
 the scalable baseline.  Both are deterministic, including tie-breaks.
+
+The exact search runs in two stages.  A screen walks the
+position-feasible ``(k - 1)``-prefixes in blocks, builds each block's
+union masks once and scores every legal last candidate with one matrix
+product.  Only tuples whose screened objective lies within a proven
+rounding bound of the best screened value are confirmed with
+:func:`objective`, which alone decides the winner.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -26,6 +32,10 @@ from .geometry import SensorConfig
 DEFAULT_COVERAGE_WEIGHT = 1.0
 DEFAULT_COST_WEIGHT = 1e-4
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
+
+#: Doubles in one screening work buffer (256 KB); a block of the
+#: exhaustive screen holds as many prefixes as fit one buffer.
+_SCREEN_BUDGET = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -159,33 +169,122 @@ def evaluate_bits(
     return evaluate_selection(np.flatnonzero(bits), problem, solver_tag, seed, free_count=True)
 
 
+def _legal_next(prefixes: NDArray[np.int64], position_of: NDArray[np.int64]) -> NDArray[np.bool_]:
+    """``(r, N)`` mask of the candidates each sorted prefix row may append:
+    an index above its last one, at a position it does not use."""
+    legal = np.arange(len(position_of)) > prefixes.max(axis=1, initial=-1)[:, None]
+    for col in prefixes.T:
+        legal &= position_of != position_of[col][:, None]
+    return legal
+
+
+def _feasible_blocks(position_of: NDArray[np.int64], length: int, rows: int):
+    """Index tuples of ``length`` at pairwise distinct positions, in
+    lexicographic order, as ``(r, length)`` arrays of at most ``rows`` rows.
+
+    Each block of shorter tuples is extended by every legal next index at
+    once; ``np.nonzero`` keeps the row-major, hence lexicographic, order.
+    """
+    if length == 0:
+        yield np.empty((1, 0), dtype=np.int64)
+        return
+    for parents in _feasible_blocks(position_of, length - 1, rows):
+        r, j = np.nonzero(_legal_next(parents, position_of))
+        tuples = np.column_stack([parents[r], j])
+        for lo in range(0, len(tuples), rows):
+            yield tuples[lo:lo + rows]
+
+
 def solve_exhaustive(
     problem: FixedCountProblem,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> SelectionResult:
-    """Global optimum by enumerating every feasible selection.
+    """Global optimum over every feasible selection.
 
     Ties in the objective break toward the lexicographically smallest
     index tuple.  Raises :class:`BudgetExceededError` when the candidate
     count ``C(N, num_sensors)`` exceeds ``budget``.
+
+    **Screen.**  The position-feasible ``(k - 1)``-prefixes are walked
+    lazily in blocks (:func:`_feasible_blocks`).  For a block with union
+    masks ``C`` every last candidate ``j`` is scored at once: the covered
+    weight is ``sum(w[C]) + ((~C) * w) @ masks.T`` and the cost the
+    prefix cost plus ``costs[j]``.  A last index not above the prefix's
+    last one, or at a position the prefix uses, is masked out.  Points
+    that every candidate covers alike are merged first (their weights
+    summed), which changes no covered weight but shrinks the product.
+    A block holds ``rows`` prefixes with ``rows * (points + N)`` at most
+    ``_SCREEN_BUDGET``, so its float buffers stay near 256 KB and memory
+    stays flat whatever the size of the search.
+
+    **Confirm.**  The screened value differs from :func:`objective` only
+    by rounding.  Both sum non-negative terms: at most ``n`` criticalities
+    (``n`` points, merged or split into partial sums along the way) and
+    ``k`` costs.  A float sum of ``m`` non-negative terms in any order or
+    grouping is within ``gamma_m = m u / (1 - m u)`` (``u = eps / 2``) of
+    its exact value relative to the exact sum, and products by 0/1 masks
+    are exact.  The division by the normalizer, the two weight products
+    and the final addition cost at most four more roundings, so each of
+    the two values lies within ``gamma_{n + k + 4} * (w_cov * cov +
+    w_cost * cost)`` of the exact objective.  With ``gamma_m <= 2 m u =
+    m eps`` (``m u <= 1/2``), ``cov <= sum(w) / normalizer`` and ``cost
+    <= sum(costs)`` they differ by at most ``2 (n + k + 4) eps (w_cov
+    sum(w) / normalizer + w_cost sum(costs))``; ``tau`` is twice that,
+    which also absorbs the rounding of ``tau`` itself and of the
+    threshold below.
+
+    A tuple whose screened value exceeds the best screened value by more
+    than ``2 tau`` has an objective above that best tuple's, so it cannot
+    win.  Every tuple within ``2 tau`` of the running screened minimum (a
+    superset, since the minimum only falls) is scored with
+    :func:`objective` as it streams past, and only the exact incumbent is
+    held.  The winner is therefore the enumerator's: the lowest
+    objective, ties to the smallest tuple, and memory stays flat even
+    when every tuple ties.
     """
-    n = problem.data.num_configs
+    data = problem.data
+    n = data.num_configs
     k = problem.num_sensors
     count = math.comb(n, k)
     if count > budget:
         raise BudgetExceededError(count, budget)
 
+    costs, position_of = problem.costs, problem.position_of
+    cov_w, cost_w = problem.coverage_weight, problem.cost_weight
+    tau = 4 * (data.num_points + k + 4) * np.finfo(float).eps * (
+        cov_w * float(data.weights.sum()) / data.normalizer + cost_w * float(costs.sum())
+    )
+    # one byte string per point column, so equal columns merge in one sort
+    packed = np.ascontiguousarray(np.packbits(data.masks, axis=0).T)
+    _, first, group = np.unique(
+        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True, return_inverse=True
+    )
+    masks = data.masks[:, first]
+    weights = np.bincount(group, weights=data.weights, minlength=len(first))
+    mask_f = masks.astype(float)
+    rows = max(1, _SCREEN_BUDGET // (masks.shape[1] + n))
+
+    floor = math.inf
     best_obj = None
     best_sel = None
-    position_of = problem.position_of
-    for sel in itertools.combinations(range(n), k):
-        positions = position_of[list(sel)]
-        if len(set(positions.tolist())) != k:
+    for prefixes in _feasible_blocks(position_of, k - 1, rows):
+        covered = masks[prefixes].any(axis=1)
+        held = np.where(covered, weights, 0.0).sum(axis=1)
+        gains = np.where(covered, 0.0, weights) @ mask_f.T
+        screened = -cov_w * ((held[:, None] + gains) / data.normalizer) + cost_w * (
+            costs[prefixes].sum(axis=1)[:, None] + costs
+        )
+        screened[~_legal_next(prefixes, position_of)] = math.inf
+        floor = min(floor, float(screened.min()))
+        if floor == math.inf:
             continue
-        obj = objective(sel, problem)
-        if best_obj is None or obj < best_obj or (obj == best_obj and sel < best_sel):
-            best_obj = obj
-            best_sel = sel
+        for r, c in zip(*np.nonzero(screened <= floor + 2 * tau)):
+            sel = (*prefixes[r].tolist(), int(c))
+            obj = objective(sel, problem)
+            # tuples stream in lexicographic order: the first of equal objectives is the smallest
+            if best_obj is None or obj < best_obj:
+                best_obj = obj
+                best_sel = sel
     if best_sel is None:
         raise InfeasibleError(f"no feasible selection of {k} sensors over {len(problem.position_groups)} positions")
     return evaluate_selection(best_sel, problem, solver_tag="exhaustive")

@@ -56,7 +56,7 @@ from .reporting import (
     write_aggregate_csv,
     write_sweep_csv,
 )
-from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_catalog, load_roi
+from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_catalog, load_roi, synthetic_grid_shape
 from .setcover import DEFAULT_QUBO_ENUMERATION_BITS, build_iqp, solve_exhaustive_qubo, to_ising
 from .vqe import (
     MAX_QUBITS,
@@ -121,8 +121,8 @@ class RunConfig:
 
 
 def validate_inputs(config: RunConfig) -> None:
-    """Reject mistyped values, invalid pairings, grids, orientation sets and
-    solver settings before any compute."""
+    """Reject mistyped values, invalid pairings, oversized synthetic grids,
+    placement grids, orientation sets and solver settings before any compute."""
     hints = get_type_hints(RunConfig)
     for f in fields(RunConfig):
         value, hint = getattr(config, f.name), hints[f.name]
@@ -142,6 +142,8 @@ def validate_inputs(config: RunConfig) -> None:
             )
     if (config.roi_path is None) == (config.synthetic is None):
         raise ConfigError("exactly one of roi_path and synthetic must be given")
+    if config.synthetic is not None:
+        synthetic_grid_shape(config.synthetic, config.vehicle)
     if config.approach == "fixed_count" and not config.sensor_counts:
         raise ConfigError("fixed_count needs a nonempty sensor_counts sweep")
     if any(k < 1 for k in config.sensor_counts):

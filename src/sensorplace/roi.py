@@ -141,6 +141,10 @@ def save_catalog(catalog, path) -> None:
 
 _PROFILE_RE = re.compile(r"^\s*([a-z_]+)\s*\(([^)]*)\)\s*$")
 
+#: Most points a synthetic grid may hold (x cells * y cells * z levels,
+#: the vehicle interior included); the default spec makes 2156.
+MAX_SYNTHETIC_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SyntheticRoiSpec:
@@ -196,17 +200,38 @@ def parse_profile(profile: str):
     return name, args
 
 
+def synthetic_grid_shape(spec: SyntheticRoiSpec, vehicle: VehicleModel) -> tuple[int, int]:
+    """Cells ``(nx, ny)`` of the synthetic grid around ``vehicle``.
+
+    Raises :class:`ConfigError` when the grid's point count ``nx * ny *
+    len(z_levels)`` exceeds :data:`MAX_SYNTHETIC_POINTS`, before anything
+    is allocated.
+    """
+    half_x = vehicle.length / 2.0 + spec.extent
+    half_y = vehicle.width / 2.0 + spec.extent
+    # rounded as floats, so a grid too large for an int is still compared
+    nx = round(2.0 * half_x / spec.spacing, 0)
+    ny = round(2.0 * half_y / spec.spacing, 0)
+    points = nx * ny * len(spec.z_levels)
+    if not points <= MAX_SYNTHETIC_POINTS:
+        raise ConfigError(
+            f"synthetic grid of extent {spec.extent!r} and spacing {spec.spacing!r} would hold "
+            f"{points:.3g} points (at most {MAX_SYNTHETIC_POINTS})"
+        )
+    return int(nx), int(ny)
+
+
 def generate_synthetic_roi(spec: SyntheticRoiSpec, vehicle: VehicleModel = VehicleModel()) -> RoiCloud:
     """Grid the region around the vehicle and weight it with the profile.
 
     Deterministic for a fixed spec; the vehicle box interior is
-    excluded.
+    excluded.  A grid above :data:`MAX_SYNTHETIC_POINTS` raises
+    :class:`ConfigError`.
     """
     ox, oy, oz = vehicle.origin
     half_x = vehicle.length / 2.0 + spec.extent
     half_y = vehicle.width / 2.0 + spec.extent
-    nx = int(round(2.0 * half_x / spec.spacing))
-    ny = int(round(2.0 * half_y / spec.spacing))
+    nx, ny = synthetic_grid_shape(spec, vehicle)
     xs = ox - half_x + (np.arange(nx) + 0.5) * spec.spacing
     ys = oy - half_y + (np.arange(ny) + 0.5) * spec.spacing
 

@@ -22,9 +22,21 @@ from sensorplace.fixed_count import (
     solve_greedy,
     sweep_num_sensors,
 )
-from sensorplace.geometry import RoiCloud, SensorConfig, SensorSpec, Side
+from sensorplace.geometry import (
+    DEFAULT_CATALOG,
+    PlacementGrid,
+    RoiCloud,
+    SensorConfig,
+    SensorSpec,
+    Side,
+    VehicleModel,
+    enumerate_configs,
+    partition_roi,
+)
+from sensorplace.roi import SyntheticRoiSpec, generate_synthetic_roi
 
-from conftest import random_instance, side_instance
+from conftest import TWO_TYPE_CATALOG, random_instance, side_instance
+from fixed_count_oracle import solve_enumerate
 
 
 def disjoint_instance(num_configs: int, costs=None, singles=None):
@@ -169,6 +181,63 @@ class TestSolveExhaustive:
         p1 = make_problem(data, catalog, num_sensors=2, coverage_weight=1.0, cost_weight=1e-4)
         p2 = make_problem(data, catalog, num_sensors=2, coverage_weight=3.0, cost_weight=3e-4)
         assert solve_exhaustive(p1).selected == solve_exhaustive(p2).selected
+
+
+def oracle_instances():
+    """(name, catalog, data, weights) instances whose every sensor count is
+    small enough for the tuple-by-tuple enumerator."""
+    free = (0.0, 30.0)
+    rng = np.random.default_rng(1400)
+    cases = [
+        ("2x2 fixed", *side_instance(rng, grid=(2, 2))[2:], {}),
+        ("3x2 fixed", *side_instance(rng, grid=(3, 2))[2:], {}),
+        ("2x2 free", *side_instance(rng, grid=(2, 2), orientations=free)[2:], {}),
+        ("3x2 free", *side_instance(rng, TWO_TYPE_CATALOG, grid=(3, 2), orientations=free)[2:], {}),
+        ("3x2 float", *side_instance(rng, grid=(3, 2), exact=False)[2:], {}),
+        ("2x2 free float", *side_instance(rng, grid=(2, 2), orientations=free, exact=False)[2:], {}),
+        ("coverage weight 0", *side_instance(rng, grid=(3, 2))[2:], {"coverage_weight": 0.0}),
+        ("both weights 0", *side_instance(rng, grid=(2, 2))[2:], {"coverage_weight": 0.0, "cost_weight": 0.0}),
+    ]
+    cloud, configs, catalog, _ = side_instance(rng, grid=(2, 2))
+    cases.append(("duplicated candidates", catalog, build_coverage(cloud, configs + configs, catalog), {}))
+    cloud, configs, catalog, _ = side_instance(rng, TWO_TYPE_CATALOG, grid=(3, 2), orientations=free)
+    zeroed = RoiCloud(cloud.points, np.where(rng.random(len(cloud)) < 0.5, 0.0, cloud.criticality))
+    cases.append(("zero-criticality points", catalog, build_coverage(zeroed, configs, catalog), {}))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+class TestMatchesEnumeratorOracle:
+    @pytest.mark.parametrize("name, catalog, data, weights", oracle_instances())
+    def test_every_sensor_count(self, name, catalog, data, weights):
+        problem = make_problem(data, catalog, num_sensors=1, **weights)
+        for k in range(1, len(problem.position_groups) + 1):
+            p = make_problem(data, catalog, num_sensors=k, **weights)
+            assert solve_exhaustive(p) == solve_enumerate(p), (name, k)
+
+    def test_default_cloud_left_side_keeps_the_ulp_tie_winner(self, monkeypatch):
+        # (34, 42, 46) and (34, 38, 46) differ by 1.1e-16 in the objective
+        vehicle = VehicleModel()
+        cloud = partition_roi(generate_synthetic_roi(SyntheticRoiSpec(), vehicle), vehicle)
+        configs = enumerate_configs(DEFAULT_CATALOG, vehicle, PlacementGrid(Side.LEFT, 4, 4, (0.0,)))
+        data = build_coverage(cloud.side_cloud(Side.LEFT), configs, DEFAULT_CATALOG)
+        problem = make_problem(data, DEFAULT_CATALOG, num_sensors=3)
+        expected = solve_enumerate(problem)
+        assert expected.selected == (34, 42, 46)
+        calls = []
+        exact = fixed_count.objective
+        monkeypatch.setattr(fixed_count, "objective", lambda sel, p: calls.append(sel) or exact(sel, p))
+        assert solve_exhaustive(problem) == expected
+        # confirmation goes through the module's objective, for a small share of the tuples
+        assert (34, 42, 46) in calls and len(calls) < 35840 // 100
+
+    def test_budget_rule_matches(self):
+        rng = np.random.default_rng(1401)
+        _, _, catalog, data = random_instance(rng, num_configs=12)
+        problem = make_problem(data, catalog, num_sensors=4)
+        for solve in (solve_exhaustive, solve_enumerate):
+            with pytest.raises(BudgetExceededError):
+                solve(problem, budget=math.comb(12, 4) - 1)
+        assert solve_exhaustive(problem, budget=math.comb(12, 4)) == solve_enumerate(problem)
 
 
 def greedy_reference(problem) -> tuple[int, ...]:

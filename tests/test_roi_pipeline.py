@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from sensorplace import pipeline
+from sensorplace import pipeline, roi
 from sensorplace.cli import _run_config, build_parser, main as cli_main
 from sensorplace.errors import ConfigError, EmptyFileError, RoiParseError
 from sensorplace.geometry import DEFAULT_CATALOG, Side, VehicleModel
@@ -173,6 +173,21 @@ class TestSyntheticRoi:
         b = generate_synthetic_roi(spec)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.criticality, b.criticality)
+
+    def test_grid_above_the_point_limit_is_rejected(self, monkeypatch):
+        # the default spec grids 49 x 44 cells at one z level: 2156 points
+        monkeypatch.setattr(roi, "MAX_SYNTHETIC_POINTS", 2156)
+        generate_synthetic_roi(SyntheticRoiSpec())
+        with pytest.raises(ConfigError, match="4.31e\\+03 points"):
+            generate_synthetic_roi(SyntheticRoiSpec(z_levels=(1.0, 2.0)))
+        monkeypatch.setattr(roi, "MAX_SYNTHETIC_POINTS", 2155)
+        with pytest.raises(ConfigError, match="2.16e\\+03 points"):
+            generate_synthetic_roi(SyntheticRoiSpec())
+
+    @pytest.mark.parametrize("spec", [SyntheticRoiSpec(extent=1e300), SyntheticRoiSpec(spacing=1e-9)])
+    def test_huge_grid_raises_before_allocating(self, spec):
+        with pytest.raises(ConfigError, match="at most 1000000"):
+            generate_synthetic_roi(spec)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -531,6 +546,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", [["extent", "1e300"], ["spacing", "1e-9"]])
+    @pytest.mark.parametrize("command", ["solve", "export-lp", "export-qubo", "gen-roi"])
+    def test_oversized_synthetic_grid_exits_2(self, tmp_path, capsys, command, bad):
+        # the grid generator allocated the whole grid (or died in np.arange)
+        out = tmp_path / "out"
+        flag = f"--{bad[0]}" if command == "gen-roi" else f"--synthetic-{bad[0]}"
+        target = ["--outdir", str(out), "--grid", "1x1", "--solver", "greedy", "--max-sensors", "1"]
+        if command != "solve":
+            target = ["--out", str(out)]
+        assert cli_main([command, *target, flag, bad[1]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: synthetic grid") and "Traceback" not in err
+        assert not out.exists()
 
     def test_non_finite_z_level_exits_2_in_gen_roi(self, tmp_path, capsys):
         out = tmp_path / "roi.csv"
