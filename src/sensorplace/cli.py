@@ -31,8 +31,8 @@ from .pipeline import (
     load_selections,
     run,
     validate_inputs,
+    write_reports,
 )
-from .reporting import aggregate, write_adherence_csv, write_aggregate_csv
 from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_yaml, save_roi
 from .setcover import build_iqp
 
@@ -144,13 +144,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_report(args) -> int:
     config = _run_config(args)
-    catalog, cloud = _resolve_catalog(config), _resolve_cloud(config)
     selections = load_selections(args.selections)
-    reports = {solver: aggregate(per_side, cloud, catalog) for solver, per_side in selections.items()}
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_aggregate_csv(out / "aggregate.csv", reports)
-    write_adherence_csv(out / "adherence.csv", reports)
+    reports = write_reports(selections, _resolve_cloud(config), _resolve_catalog(config), out)
     print(f"re-aggregated {len(reports)} solver reports into {out}")
     return 0
 

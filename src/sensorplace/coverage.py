@@ -12,7 +12,9 @@ Building the matrix is embarrassingly parallel over candidates (each row
 is independent) and the result is immutable, so a
 :class:`CoverageData` can be shared read-only across workers.  A run
 builds it in memory once per side, and every solver of that side reads
-the same instance; nothing is stored between runs.
+the same instance; nothing is stored between runs.  The whole-vehicle
+report builds it once more for the selected sensors over the full
+cloud, and once over the cloud's critical points for adherence.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import EmptyCloudError
+from .errors import ConfigError, EmptyCloudError
 from .geometry import RoiCloud, SensorConfig, SensorSpec, fov_mask
 
 
@@ -60,8 +62,11 @@ def build_coverage(
     """Compute masks, singles and pairwise overlaps for the given candidates.
 
     The diagonal of ``overlaps`` is copied into ``singles`` so the
-    ``singles[i] == overlaps[i, i]`` identity holds exactly.
+    ``singles[i] == overlaps[i, i]`` identity holds exactly.  A sensor
+    type index outside the catalog raises :class:`ConfigError`.
     """
+    if unknown := sorted({c.type_index for c in configs} - set(range(len(catalog)))):
+        raise ConfigError(f"the catalog has no sensor type index {', '.join(map(str, unknown))}")
     if len(cloud) == 0:
         raise EmptyCloudError("cannot build coverage over an empty cloud")
     normalizer = cloud.total_criticality
@@ -90,10 +95,7 @@ def build_coverage(
 
 def union_mask(selection, data: CoverageData) -> NDArray[np.bool_]:
     """Boolean OR of the selected candidates' coverage rows."""
-    idx = list(selection)
-    if not idx:
-        return np.zeros(data.num_points, dtype=bool)
-    return data.masks[idx].any(axis=0)
+    return data.masks[list(selection)].any(axis=0)
 
 
 def exact_union_coverage(selection, data: CoverageData) -> float:

@@ -2,9 +2,9 @@
 
 Conventions used throughout the package:
 
-* The vehicle is an axis-aligned box whose footprint centre sits at
-  ``origin`` with the front face toward +x, the left side toward +y and
-  z pointing up.  The box occupies ``origin.z`` to ``origin.z + height``.
+* The vehicle is an axis-aligned box whose footprint centre sits at the
+  coordinate origin, with the front face toward +x, the left side toward
+  +y and z pointing up.  The box occupies z = 0 to z = ``height``.
 * Sensor orientations are yaw angles in degrees about the z axis,
   measured from the outward normal of the face the sensor sits on.
   Angles that appear clockwise when looking down at the vehicle are
@@ -90,12 +90,11 @@ _NORMALS = {
 
 @dataclass(frozen=True)
 class VehicleModel:
-    """Axis-aligned box vehicle with its footprint centre at ``origin``."""
+    """Axis-aligned box vehicle with its footprint centre at the coordinate origin."""
 
     length: float = 4.5
     width: float = 1.8
     height: float = 1.5
-    origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if min(self.length, self.width, self.height) <= 0.0:
@@ -105,10 +104,9 @@ class VehicleModel:
         return _NORMALS[side].copy()
 
     def face_centre(self, side: Side) -> NDArray[np.float64]:
-        ox, oy, oz = self.origin
         half = {Side.FRONT: self.length, Side.BACK: self.length,
                 Side.LEFT: self.width, Side.RIGHT: self.width}[side] / 2.0
-        return np.array([ox, oy, oz + self.height / 2.0]) + half * _NORMALS[side]
+        return np.array([0.0, 0.0, self.height / 2.0]) + half * _NORMALS[side]
 
     def face_extent(self, side: Side) -> tuple[float, float]:
         """(horizontal, vertical) extent of a face in metres."""
@@ -119,12 +117,11 @@ class VehicleModel:
     def contains(self, points: NDArray[np.float64]) -> NDArray[np.bool_]:
         """Strict-interior test for an (n, 3) array of points."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        ox, oy, oz = self.origin
         return (
-            (np.abs(p[:, 0] - ox) < self.length / 2.0)
-            & (np.abs(p[:, 1] - oy) < self.width / 2.0)
-            & (p[:, 2] > oz)
-            & (p[:, 2] < oz + self.height)
+            (np.abs(p[:, 0]) < self.length / 2.0)
+            & (np.abs(p[:, 1]) < self.width / 2.0)
+            & (p[:, 2] > 0.0)
+            & (p[:, 2] < self.height)
         )
 
 
@@ -161,24 +158,6 @@ class SensorConfig:
     position: tuple[float, float, float]
     orientation: float
     side: Side
-
-    def to_dict(self) -> dict:
-        """JSON-ready form, as stored in ``selections.json``."""
-        return {
-            "type_index": self.type_index,
-            "position": list(self.position),
-            "orientation": self.orientation,
-            "side": self.side.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SensorConfig":
-        return cls(
-            type_index=int(d["type_index"]),
-            position=tuple(float(x) for x in d["position"]),
-            orientation=float(d["orientation"]),
-            side=Side(d["side"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -314,9 +293,8 @@ def side_of_points(points: NDArray[np.float64], vehicle: VehicleModel) -> NDArra
     sectors partition the plane.
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    ox, oy, _ = vehicle.origin
-    u = (p[:, 0] - ox) / (vehicle.length / 2.0)
-    v = (p[:, 1] - oy) / (vehicle.width / 2.0)
+    u = p[:, 0] / (vehicle.length / 2.0)
+    v = p[:, 1] / (vehicle.width / 2.0)
     labels = np.full(p.shape[0], SIDE_ORDER.index(Side.RIGHT), dtype=np.int8)
     labels[v > 0.0] = SIDE_ORDER.index(Side.LEFT)
     labels[-u >= np.abs(v)] = SIDE_ORDER.index(Side.BACK)

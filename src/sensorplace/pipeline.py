@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -38,7 +39,6 @@ from .geometry import (
     DEFAULT_CATALOG,
     PlacementGrid,
     RoiCloud,
-    SensorConfig,
     Side,
     SIDE_ORDER,
     VehicleModel,
@@ -56,7 +56,7 @@ from .reporting import (
     write_aggregate_csv,
     write_sweep_csv,
 )
-from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_catalog, load_roi, synthetic_grid_shape
+from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_catalog, load_roi, read_input, synthetic_grid_shape
 from .setcover import DEFAULT_QUBO_ENUMERATION_BITS, build_iqp, solve_exhaustive_qubo, to_ising
 from .vqe import (
     MAX_QUBITS,
@@ -207,14 +207,42 @@ def derive_seed(base: int, *parts) -> int:
 
 
 def _plain(value):
-    """JSON-ready form of a config value: dataclasses become dicts, tuples lists."""
+    """JSON-ready form of a config or result value: dataclasses become dicts,
+    tuples lists and enum members their values."""
     if is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
-        return {getattr(k, "value", k): _plain(v) for k, v in value.items()}
+        return {_plain(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
     return value
+
+
+def _from_plain(value, hint):
+    """The value of annotated type ``hint`` whose :func:`_plain` form is
+    ``value``; a form that does not fit raises ValueError."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # an optional value, ``X | None``
+        return None if value is None else _from_plain(value, args[0])
+    if is_dataclass(hint):
+        names = [f.name for f in fields(hint)]
+        if not isinstance(value, dict) or sorted(value) != sorted(names):
+            raise ValueError(f"a {hint.__name__} needs exactly the fields {', '.join(names)}")
+        hints = get_type_hints(hint)
+        return hint(**{name: _from_plain(value[name], hints[name]) for name in names})
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint(value)
+    if origin is dict and isinstance(value, dict):
+        return {_from_plain(k, args[0]): _from_plain(v, args[1]) for k, v in value.items()}
+    if origin is tuple and isinstance(value, list):
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) == len(value):
+            return tuple(map(_from_plain, value, items))
+    elif _has_type(value, hint):
+        return float(value) if hint is float else value
+    raise ValueError(f"expected {hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
 
 
 def _has_type(value, hint) -> bool:
@@ -415,43 +443,23 @@ def _solve_setcover(
     return result, [SweepRow(side, len(result.selected), solver, result, stats)]
 
 
-def _write_selections(path: Path, reports: dict[str, AggregateReport]) -> None:
-    doc = {}
-    for solver, report in sorted(reports.items()):
-        doc[solver] = {
-            side.value: None if r is None else {
-                "selected": list(r.selected),
-                "coverage": r.coverage,
-                "cost": r.cost,
-                "objective": r.objective,
-                "solver_tag": r.solver_tag,
-                "feasible": r.feasible,
-                "seed": r.seed,
-                "configs": [c.to_dict() for c in r.configs],
-            }
-            for side, r in report.per_side.items()
-        }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
-
-
 def load_selections(path) -> dict[str, dict[Side, SelectionResult | None]]:
-    """Per-solver, per-side selections of ``selections.json``; an unsolved side is None."""
-    doc = json.loads(Path(path).read_text())
-    out: dict[str, dict[Side, SelectionResult | None]] = {}
-    for solver, sides in doc.items():
-        out[solver] = {}
-        for side_name, r in sides.items():
-            out[solver][Side(side_name)] = None if r is None else SelectionResult(
-                selected=tuple(int(i) for i in r["selected"]),
-                coverage=float(r["coverage"]),
-                cost=float(r["cost"]),
-                objective=float(r["objective"]),
-                solver_tag=str(r["solver_tag"]),
-                feasible=bool(r["feasible"]),
-                configs=tuple(SensorConfig.from_dict(c) for c in r["configs"]),
-                seed=r.get("seed"),
-            )
-    return out
+    """Per-solver, per-side selections of ``selections.json``; an unsolved side
+    is None.  A file that is not JSON of that shape raises ConfigError naming it."""
+    try:
+        return _from_plain(json.loads(read_input(path)), dict[str, dict[Side, SelectionResult | None]])
+    except ValueError as exc:  # invalid JSON included
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def write_reports(selections, cloud: RoiCloud, catalog, out: Path) -> dict[str, AggregateReport]:
+    """Aggregate each solver's per-side selections over the full cloud and
+    write ``aggregate.csv`` and ``adherence.csv`` into ``out``."""
+    reports = {solver: aggregate(per_side, cloud, catalog) for solver, per_side in selections.items()}
+    out.mkdir(parents=True, exist_ok=True)
+    write_aggregate_csv(out / "aggregate.csv", reports)
+    write_adherence_csv(out / "adherence.csv", reports)
+    return reports
 
 
 def run(config: RunConfig) -> RunOutputs:
@@ -495,10 +503,9 @@ def run(config: RunConfig) -> RunOutputs:
     write_sweep_csv(out / "sweep.csv", sweep_rows)
     if all(r is None for per_side in selections.values() for r in per_side.values()):
         raise InfeasibleError(f"no solver produced a selection on any side; see {out / 'sweep.csv'}")
-    reports = {solver: aggregate(per_side, cloud, catalog) for solver, per_side in selections.items()}
-    write_aggregate_csv(out / "aggregate.csv", reports)
-    write_adherence_csv(out / "adherence.csv", reports)
-    _write_selections(out / "selections.json", reports)
+    reports = write_reports(selections, cloud, catalog, out)
+    doc = {solver: _plain(report.per_side) for solver, report in reports.items()}
+    (out / "selections.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
 
     resolved = config_to_dict(config)
     resolved.pop("output_dir")  # not semantic: it is where this manifest lives

@@ -2,14 +2,17 @@
 
 Per-side results are solved against side-local weighting, so the
 aggregate recomputes the union coverage of every selected sensor over
-the full cloud with the global criticality total.  Cross-side FoV
-overlap can therefore push the aggregate above the criticality-weighted
-mean of the per-side numbers.
+the full cloud with the global criticality total: it builds the
+selected sensors' :func:`~sensorplace.coverage.build_coverage` over that
+cloud and reads their exact union.  Cross-side FoV overlap can therefore
+push the aggregate above the criticality-weighted mean of the per-side
+numbers.
 
 Adherence is a post-processing diagnostic only (never a constraint): of
 the points at or above the criticality threshold, which fraction lies
 inside at least two selected FoVs, and inside FoVs of at least two
-distinct sensor types.
+distinct sensor types.  It counts both from the coverage masks of the
+selected sensors over those critical points.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .coverage import build_coverage, exact_union_coverage, union_mask
 from .errors import MissingSideError, NoCriticalPointsError
 from .fixed_count import SelectionResult
-from .geometry import RoiCloud, SensorConfig, Side, SIDE_ORDER, fov_mask
+from .geometry import RoiCloud, Side, SIDE_ORDER
 
 SWEEP_SCHEMA = "# sensorplace sweep csv v1"
 AGGREGATE_SCHEMA = "# sensorplace aggregate csv v1"
@@ -39,66 +43,46 @@ class AggregateReport:
     adherence_two_types: float | None
 
 
-def adherence(
-    configs,
-    cloud: RoiCloud,
-    catalog,
-) -> tuple[float, float]:
+def adherence(configs, cloud: RoiCloud, catalog) -> tuple[float, float]:
     """Fractions of critical points inside >= 2 FoVs and >= 2 distinct-type FoVs.
 
     Raises :class:`NoCriticalPointsError` when no point reaches
     ``ADHERENCE_THRESHOLD``, so callers can report an explicit
     not-applicable marker instead of a bogus 0/0.
     """
-    critical = cloud.criticality >= ADHERENCE_THRESHOLD
-    denom = int(critical.sum())
+    critical = cloud.subset(cloud.criticality >= ADHERENCE_THRESHOLD)
+    denom = len(critical)
     if denom == 0:
         raise NoCriticalPointsError(f"no points with criticality >= {ADHERENCE_THRESHOLD}")
-    pts = cloud.points[critical]
-
-    configs = list(configs)
-    sensor_count = np.zeros(denom, dtype=np.int64)
-    type_masks: dict[int, np.ndarray] = {}
-    for cfg in configs:
-        m = fov_mask(cfg, catalog[cfg.type_index], pts)
-        sensor_count += m
-        if cfg.type_index in type_masks:
-            type_masks[cfg.type_index] |= m
-        else:
-            type_masks[cfg.type_index] = m
-
+    data = build_coverage(critical, tuple(configs), catalog)
+    types = [cfg.type_index for cfg in data.configs]
+    sensor_count = data.masks.sum(axis=0)
     type_count = np.zeros(denom, dtype=np.int64)
-    for m in type_masks.values():
-        type_count += m
+    for t in set(types):
+        type_count += union_mask([i for i, u in enumerate(types) if u == t], data)
 
     two_sensors = int((sensor_count >= 2).sum()) / denom
     two_types = int((type_count >= 2).sum()) / denom
     return two_sensors, two_types
 
 
-def aggregate(
-    per_side: dict[Side, SelectionResult | None],
-    cloud: RoiCloud,
-    catalog,
-) -> AggregateReport:
+def aggregate(per_side: dict[Side, SelectionResult | None], cloud: RoiCloud, catalog) -> AggregateReport:
     """Coalesce per-side selections into whole-vehicle coverage and cost.
 
     ``cloud`` is the full region of interest; coverage is the exact
     union of every selected FoV weighted by the global criticality
     total.  A side mapped to None (nothing to cover) contributes no
-    sensors; a side absent from ``per_side`` is an error.
+    sensors; a side absent from ``per_side`` is an error, and so is a
+    cloud with zero total criticality (:class:`EmptyCloudError`).
     """
     missing = [s.value for s in SIDE_ORDER if s not in per_side]
     if missing:
         raise MissingSideError(f"missing sides: {', '.join(missing)}")
 
     solved = [per_side[s] for s in SIDE_ORDER if per_side[s] is not None]
-    selected_configs: list[SensorConfig] = [cfg for r in solved for cfg in r.configs]
-
-    covered = np.zeros(len(cloud), dtype=bool)
-    for cfg in selected_configs:
-        covered |= fov_mask(cfg, catalog[cfg.type_index], cloud.points)
-    coverage = float(cloud.criticality[covered].sum() / cloud.total_criticality)
+    selected_configs = [cfg for r in solved for cfg in r.configs]
+    data = build_coverage(cloud, selected_configs, catalog)
+    coverage = exact_union_coverage(range(len(selected_configs)), data)
     total_cost = float(sum(r.cost for r in solved))
 
     try:

@@ -228,17 +228,16 @@ def generate_synthetic_roi(spec: SyntheticRoiSpec, vehicle: VehicleModel = Vehic
     excluded.  A grid above :data:`MAX_SYNTHETIC_POINTS` raises
     :class:`ConfigError`.
     """
-    ox, oy, oz = vehicle.origin
     half_x = vehicle.length / 2.0 + spec.extent
     half_y = vehicle.width / 2.0 + spec.extent
     nx, ny = synthetic_grid_shape(spec, vehicle)
-    xs = ox - half_x + (np.arange(nx) + 0.5) * spec.spacing
-    ys = oy - half_y + (np.arange(ny) + 0.5) * spec.spacing
+    xs = -half_x + (np.arange(nx) + 0.5) * spec.spacing
+    ys = -half_y + (np.arange(ny) + 0.5) * spec.spacing
 
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
     level_pts = np.column_stack([xx.reshape(-1), yy.reshape(-1)])
     pts = np.concatenate(
-        [np.column_stack([level_pts, np.full(len(level_pts), oz + z)]) for z in spec.z_levels]
+        [np.column_stack([level_pts, np.full(len(level_pts), z)]) for z in spec.z_levels]
     )
     pts = pts[~vehicle.contains(pts)]
 
@@ -246,8 +245,8 @@ def generate_synthetic_roi(spec: SyntheticRoiSpec, vehicle: VehicleModel = Vehic
     if name == "uniform":
         crit = np.full(len(pts), args[0])
     else:
-        dx = np.maximum(np.abs(pts[:, 0] - ox) - vehicle.length / 2.0, 0.0)
-        dy = np.maximum(np.abs(pts[:, 1] - oy) - vehicle.width / 2.0, 0.0)
+        dx = np.maximum(np.abs(pts[:, 0]) - vehicle.length / 2.0, 0.0)
+        dy = np.maximum(np.abs(pts[:, 1]) - vehicle.width / 2.0, 0.0)
         dist = np.hypot(dx, dy)
         crit = 1.0 / (1.0 + dist / args[0])
         if len(args) == 2 and args[1] > 0.0:

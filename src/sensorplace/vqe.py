@@ -317,35 +317,33 @@ class OptimizerConfig:
             raise ValueError("the evaluation budget must be non-negative")
 
 
-def _minimize_multistart(fn, num_params: int, cfg: OptimizerConfig, rng: np.random.Generator) -> int:
-    """Run restarted local searches until the evaluation budget is used.
+def _minimize_traced(fn, num_params: int, cfg: OptimizerConfig, rng: np.random.Generator):
+    """Evaluate ``fn`` at random angles, then spend the evaluation budget
+    on restarted local searches; returns the ``(iteration, value, angles)``
+    trace of every evaluation.  ``fn`` tracks its own best-ever answer.
 
-    ``fn`` is responsible for tracking its own best-ever value; this
-    driver only spends the budget.  Returns the number of evaluations.
     No COBYLA start is made on fewer evaluations than its minimum of
-    ``num_params + 2``, so the total never exceeds ``max_evals``.
+    ``num_params + 2``, so the trace never exceeds ``max_evals + 1``.
     """
     from scipy import optimize as sciopt  # deferred: importing scipy.optimize is slow
 
-    evals = 0
+    trace: list[tuple[int, float, NDArray[np.float64]]] = []
 
-    def counted(theta):
-        nonlocal evals
-        evals += 1
-        return fn(theta)
+    def traced(theta):
+        value = fn(theta)
+        trace.append((len(trace), value, np.array(theta, dtype=float)))
+        return value
 
-    while evals < cfg.max_evals:
-        start_budget = min(MAX_EVALS_PER_START, cfg.max_evals - evals)
-        if start_budget < num_params + 2:
-            break
+    traced(rng.uniform(-np.pi, np.pi, num_params))
+    while (start_budget := min(MAX_EVALS_PER_START, cfg.max_evals + 1 - len(trace))) >= num_params + 2:
         x0 = rng.uniform(-np.pi, np.pi, num_params)
         sciopt.minimize(
-            counted,
+            traced,
             x0,
             method="COBYLA",
             options={"maxiter": start_budget, "rhobeg": RHO_BEGIN, "tol": F_TOL},
         )
-    return evals
+    return trace
 
 
 @dataclass
@@ -354,7 +352,10 @@ class VqeRun:
 
     result: SelectionResult
     trace: list[tuple[int, float, NDArray[np.float64]]]
-    num_evals: int
+
+    @property
+    def num_evals(self) -> int:
+        return len(self.trace)
 
     def write_trace_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -399,7 +400,6 @@ def vqe_fixed_count(
     penalty = problem.coverage_weight + problem.cost_weight * float(problem.costs.sum()) + 1.0
 
     best: dict = {"objective": None, "selection": None}
-    trace: list[tuple[int, float, NDArray[np.float64]]] = []
 
     def score(theta) -> float:
         state = apply_ansatz(base, AnsatzSpec(n, num_layers, theta))
@@ -409,22 +409,18 @@ def vqe_fixed_count(
                 histogram, encoding, problem.num_sensors, problem.position_of
             )
         except InsufficientSupportError:
-            trace.append((len(trace), penalty, np.array(theta, dtype=float)))
             return penalty
         value = selection_objective(selection, problem)
-        trace.append((len(trace), value, np.array(theta, dtype=float)))
         if best["objective"] is None or value < best["objective"]:
             best["objective"] = value
             best["selection"] = selection
         return value
 
-    score(rng.uniform(-np.pi, np.pi, n * num_layers))
-    num_evals = 1 + _minimize_multistart(score, n * num_layers, optimizer, rng)
-
+    trace = _minimize_traced(score, n * num_layers, optimizer, rng)
     if best["selection"] is None:
         raise InsufficientSupportError("no evaluation produced a feasible selection")
     result = evaluate_selection(best["selection"], problem, "vqe_fixed_count", seed=seed)
-    return VqeRun(result=result, trace=trace, num_evals=num_evals)
+    return VqeRun(result=result, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +433,10 @@ class DiagonalVqeOutcome:
     best_energy: float
     best_expectation: float
     trace: list[tuple[int, float, NDArray[np.float64]]]
-    num_evals: int
+
+    @property
+    def num_evals(self) -> int:
+        return len(self.trace)
 
 
 def basis_energies(model: IsingModel) -> NDArray[np.float64]:
@@ -476,13 +475,11 @@ def minimize_ising_expectation(
     rng = np.random.default_rng(seed)
     base = uniform_state(n)
 
-    best: dict = {"energy": None, "state": None, "expectation": None}
-    trace: list[tuple[int, float, NDArray[np.float64]]] = []
+    best: dict = {"energy": None, "state": None}
 
     def score(theta) -> float:
         state = apply_ansatz(base, AnsatzSpec(n, num_layers, theta))
         probs = np.abs(state) ** 2
-        expectation = float(probs @ energies)
         visible = np.flatnonzero(probs >= OBSERVATION_FLOOR)
         if not visible.size:
             visible = np.array([np.argmax(probs)])
@@ -490,19 +487,14 @@ def minimize_ising_expectation(
         if best["energy"] is None or energies[k] < best["energy"]:
             best["energy"] = float(energies[k])
             best["state"] = k
-        trace.append((len(trace), expectation, np.array(theta, dtype=float)))
-        if best["expectation"] is None or expectation < best["expectation"]:
-            best["expectation"] = expectation
-        return expectation
+        return float(probs @ energies)
 
-    score(rng.uniform(-np.pi, np.pi, n * num_layers))
-    num_evals = 1 + _minimize_multistart(score, n * num_layers, optimizer, rng)
+    trace = _minimize_traced(score, n * num_layers, optimizer, rng)
     return DiagonalVqeOutcome(
         best_state=best["state"],
         best_energy=best["energy"],
-        best_expectation=best["expectation"],
+        best_expectation=min(value for _, value, _ in trace),
         trace=trace,
-        num_evals=num_evals,
     )
 
 
@@ -529,4 +521,4 @@ def vqe_ising(
     outcome = minimize_ising_expectation(model, num_layers, optimizer, seed, energies)
     bits = enumerate_bits(np.array([outcome.best_state], dtype=np.int64), model.num_spins)[0]
     result = evaluate_bits(bits, problem, "vqe_ising", seed=seed)
-    return VqeRun(result=result, trace=outcome.trace, num_evals=outcome.num_evals)
+    return VqeRun(result=result, trace=outcome.trace)

@@ -451,6 +451,42 @@ class TestCli:
         assert (rep / "aggregate.csv").read_bytes() == (out / "aggregate.csv").read_bytes()
         assert (rep / "adherence.csv").read_bytes() == (out / "adherence.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "selections, criticality, catalog",
+        [
+            (None, 0.5, False),                                      # missing file
+            ("{not json", 0.5, False),
+            ("[]", 0.5, False),
+            ('{"greedy": {"front": {"selected": [1]}}}', 0.5, False),  # six fields missing
+            ('{"greedy": {"top": null}}', 0.5, False),
+            ("valid", 0.5, True),                                    # type 3 not in a one-type catalog
+            ("valid", 0.0, False),                                   # zero-criticality cloud
+        ],
+    )
+    def test_bad_report_inputs_exit_2(self, tmp_path, capsys, selections, criticality, catalog):
+        # each crashed with a traceback, or (zero criticality) wrote nan coverage and exited 0
+        front = {
+            "selected": [0], "coverage": 0.5, "cost": 20.0, "objective": -0.498, "solver_tag": "greedy",
+            "feasible": True, "seed": None,
+            "configs": [{"type_index": 3, "position": [2.25, 0.0, 0.75], "orientation": 0.0, "side": "front"}],
+        }
+        if selections == "valid":
+            selections = json.dumps({"greedy": {"front": front, "back": None, "left": None, "right": None}})
+        path = tmp_path / "selections.json"
+        if selections is not None:
+            path.write_text(selections)
+        roi = tmp_path / "roi.csv"
+        roi.write_text(f"x,y,z,criticality\n5.0,0.0,1.0,{criticality}\n-5.0,0.0,1.0,{criticality}\n")
+        out = tmp_path / "rep"
+        argv = ["report", "--selections", str(path), "--roi", str(roi), "--outdir", str(out)]
+        if catalog:
+            save_catalog(DEFAULT_CATALOG[:1], tmp_path / "one.yaml")
+            argv += ["--catalog", str(tmp_path / "one.yaml")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_exports(self, tmp_path):
         lp = tmp_path / "model.lp"
         qubo = tmp_path / "model.qubo"
@@ -673,6 +709,7 @@ class TestCli:
             ({"orientations": {"front": [], "back": [0], "left": [0], "right": [0]}}, [], "side front"),
             ({"orientations": {"front": "30", "back": [0], "left": [0], "right": [0]}}, [], "orientations"),
             ({"fov_model": "elliptical"}, [], "fov_model"),
+            ({"vehicle": {"origin": [0.0, 0.0, 0.0]}}, [], "origin"),
             ({}, ["--orientations", "0,nan"], "side front"),
         ],
     )
