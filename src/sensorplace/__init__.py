@@ -74,7 +74,6 @@ from .vqe import (
     OptimizerConfig,
     apply_ansatz,
     entangler_pairs,
-    minimize_ising_expectation,
     sample_histogram,
     select_feasible_topk,
     uniform_state,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .fixed_count import evaluate_bits, make_problem
+from .fixed_count import DEFAULT_COST_WEIGHT, DEFAULT_COVERAGE_WEIGHT, evaluate_bits, make_problem
 from .setcover import IsingModel
 
 # Memory cap for each of the two uniform block buffers (doubles).
@@ -203,8 +203,8 @@ def best_selection(
     samples: SampleSet,
     data,
     catalog,
-    coverage_weight: float = 1.0,
-    cost_weight: float = 1e-4,
+    coverage_weight: float = DEFAULT_COVERAGE_WEIGHT,
+    cost_weight: float = DEFAULT_COST_WEIGHT,
     seed: int | None = None,
 ):
     """Decode the lowest-energy sample into a :class:`SelectionResult`.

@@ -52,10 +52,10 @@ class SensorSpec:
             raise ValueError(f"alpha_h must be in (0, 180], got {self.alpha_h}")
         if not 0.0 < self.alpha_v <= 180.0:
             raise ValueError(f"alpha_v must be in (0, 180], got {self.alpha_v}")
-        if self.range <= 0.0:
-            raise ValueError(f"range must be positive, got {self.range}")
-        if self.cost < 0.0:
-            raise ValueError(f"cost must be non-negative, got {self.cost}")
+        if not 0.0 < self.range < math.inf:
+            raise ValueError(f"range must be positive and finite, got {self.range}")
+        if not 0.0 <= self.cost < math.inf:
+            raise ValueError(f"cost must be non-negative and finite, got {self.cost}")
 
 
 #: Default catalog: LiDAR, Radar, Camera and Ultrasonic with angular sweeps,
@@ -97,8 +97,8 @@ class VehicleModel:
     height: float = 1.5
 
     def __post_init__(self):
-        if min(self.length, self.width, self.height) <= 0.0:
-            raise ValueError("vehicle dimensions must be positive")
+        if not all(0.0 < d < math.inf for d in (self.length, self.width, self.height)):
+            raise ValueError("vehicle dimensions must be positive and finite")
 
     def face_normal(self, side: Side) -> NDArray[np.float64]:
         return _NORMALS[side].copy()

@@ -28,6 +28,8 @@ from .annealer import AnnealSchedule, anneal, best_selection, scaled_schedule
 from .coverage import CoverageData, build_coverage
 from .errors import ConfigError, EmptyCloudError, InfeasibleError
 from .fixed_count import (
+    DEFAULT_COST_WEIGHT,
+    DEFAULT_COVERAGE_WEIGHT,
     SelectionResult,
     evaluate_bits,
     make_problem,
@@ -97,8 +99,8 @@ class RunConfig:
     orientation_mode: str = "fixed"          # "fixed", "free", or explicit below
     orientations: dict[Side, tuple[float, ...]] | None = None
     sensor_counts: tuple[int, ...] = tuple(range(1, 9))
-    coverage_weight: float = 1.0
-    cost_weight: float = 1e-4
+    coverage_weight: float = DEFAULT_COVERAGE_WEIGHT
+    cost_weight: float = DEFAULT_COST_WEIGHT
     seed: int = 0
     num_stochastic_runs: int = 10
     shots: int = 1000

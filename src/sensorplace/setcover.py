@@ -30,6 +30,7 @@ from numpy.typing import NDArray
 
 from .coverage import CoverageData
 from .errors import BudgetExceededError
+from .fixed_count import DEFAULT_COST_WEIGHT, DEFAULT_COVERAGE_WEIGHT
 from .geometry import config_costs
 
 DEFAULT_QUBO_ENUMERATION_BITS = 24
@@ -129,8 +130,8 @@ def approx_coverage(x, data: CoverageData) -> float:
 def build_iqp(
     data: CoverageData,
     catalog,
-    coverage_weight: float = 1.0,
-    cost_weight: float = 1e-4,
+    coverage_weight: float = DEFAULT_COVERAGE_WEIGHT,
+    cost_weight: float = DEFAULT_COST_WEIGHT,
 ) -> QuadraticModel:
     """Quadratic program for trading approximate coverage against cost.
 

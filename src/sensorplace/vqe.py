@@ -1,4 +1,4 @@
-"""Dense statevector simulation and the two variational selection loops.
+"""Dense statevector simulation and the two variational selection modes built on it.
 
 The ansatz is a stack of entangling layers: every layer applies one Y
 rotation per qubit followed by a CNOT ring whose targets shift with the
@@ -8,14 +8,17 @@ itself (``(layer + 1) % n == 0``) carries no entangler, as does a
 single-qubit register.  An L-layer ansatz therefore exposes ``n * L``
 rotation angles.
 
-Two objective modes drive a restarted COBYLA search:
+One driver runs every variational search: restarted COBYLA over the
+ansatz angles, starting from the uniform superposition, with one seeded
+generator for its random angles and measurement shots.  Each mode
+supplies only the measurement of an ansatz state:
 
-* fixed-count mode measures the circuit, keeps the most frequent
+* fixed-count mode samples a shot histogram, keeps its most frequent
   feasible basis states as the sensor selection, and scores it with the
   exact-coverage objective;
-* spin mode minimizes the exact expectation of a diagonal spin
-  Hamiltonian computed from the statevector probabilities, then reports
-  the best-energy basis state observed along the way.
+* spin mode takes the exact expectation of a diagonal spin Hamiltonian
+  over the statevector probabilities as its value, and answers with the
+  best-energy basis state observed along the way.
 
 Statevector indices read the qubits most-significant first: qubit 0 is
 the leftmost bit of the basis index.
@@ -43,6 +46,8 @@ from numpy.typing import NDArray
 from .coverage import CoverageData
 from .errors import InsufficientSupportError
 from .fixed_count import (
+    DEFAULT_COST_WEIGHT,
+    DEFAULT_COVERAGE_WEIGHT,
     FixedCountProblem,
     SelectionResult,
     evaluate_bits,
@@ -317,33 +322,40 @@ class OptimizerConfig:
             raise ValueError("the evaluation budget must be non-negative")
 
 
-def _minimize_traced(fn, num_params: int, cfg: OptimizerConfig, rng: np.random.Generator):
-    """Evaluate ``fn`` at random angles, then spend the evaluation budget
-    on restarted local searches; returns the ``(iteration, value, angles)``
-    trace of every evaluation.  ``fn`` tracks its own best-ever answer.
+def _minimize_traced(measure, num_qubits: int, num_layers: int, cfg: OptimizerConfig, seed: int):
+    """One variational run: evaluate at random angles, then spend the budget
+    on COBYLA searches from fresh random angles.
 
-    No COBYLA start is made on fewer evaluations than its minimum of
-    ``num_params + 2``, so the trace never exceeds ``max_evals + 1``.
+    An evaluation applies the ansatz to the uniform superposition and
+    passes the state and the run's one ``default_rng(seed)`` stream to
+    ``measure``, which returns the value to minimize and an answer with its
+    score (None and inf for no answer).  Returns the first lowest-scoring
+    answer and the ``(iteration, value, angles)`` trace.  No COBYLA start is made on fewer
+    than its minimum of ``num_params + 2`` evaluations, so the trace never
+    exceeds ``max_evals + 1``.
     """
     from scipy import optimize as sciopt  # deferred: importing scipy.optimize is slow
 
+    rng = np.random.default_rng(seed)
+    base = uniform_state(num_qubits)
+    num_params = num_qubits * num_layers
     trace: list[tuple[int, float, NDArray[np.float64]]] = []
+    best_score, best_answer = math.inf, None
 
     def traced(theta):
-        value = fn(theta)
+        nonlocal best_score, best_answer
+        state = apply_ansatz(base, AnsatzSpec(num_qubits, num_layers, theta))
+        value, answer, score = measure(state, rng)
+        if score < best_score:
+            best_score, best_answer = score, answer
         trace.append((len(trace), value, np.array(theta, dtype=float)))
         return value
 
     traced(rng.uniform(-np.pi, np.pi, num_params))
     while (start_budget := min(MAX_EVALS_PER_START, cfg.max_evals + 1 - len(trace))) >= num_params + 2:
-        x0 = rng.uniform(-np.pi, np.pi, num_params)
-        sciopt.minimize(
-            traced,
-            x0,
-            method="COBYLA",
-            options={"maxiter": start_budget, "rhobeg": RHO_BEGIN, "tol": F_TOL},
-        )
-    return trace
+        sciopt.minimize(traced, rng.uniform(-np.pi, np.pi, num_params), method="COBYLA",
+                        options={"maxiter": start_budget, "rhobeg": RHO_BEGIN, "tol": F_TOL})
+    return best_answer, trace
 
 
 @dataclass
@@ -380,63 +392,38 @@ def vqe_fixed_count(
 ) -> VqeRun:
     """Variational fixed-count selection from measurement histograms.
 
-    Each evaluation prepares the uniform superposition, applies the
-    ansatz, samples ``shots`` measurements, keeps the most frequent
-    feasible candidates and scores them with the exact-coverage
-    objective.  A histogram without enough feasible support contributes
-    a large penalty value instead of aborting.  The returned selection
-    is the best ever encountered, evaluated even for a zero-evaluation
-    budget (at the initial angles).
+    Each evaluation samples ``shots`` measurements of the ansatz state,
+    keeps the most frequent feasible candidates and scores them with the
+    exact-coverage objective.  A histogram without enough feasible
+    support contributes a large penalty value instead of aborting.  The
+    returned selection is the best ever encountered, evaluated even for
+    a zero-evaluation budget (at the initial angles).
     """
     if encoding.num_configs != problem.data.num_configs:
         raise ValueError(
             f"encoding addresses {encoding.num_configs} candidates, "
             f"problem has {problem.data.num_configs}"
         )
-    n = encoding.num_qubits
-    _check_qubits(n)
-    rng = np.random.default_rng(seed)
-    base = uniform_state(n)
     penalty = problem.coverage_weight + problem.cost_weight * float(problem.costs.sum()) + 1.0
 
-    best: dict = {"objective": None, "selection": None}
-
-    def score(theta) -> float:
-        state = apply_ansatz(base, AnsatzSpec(n, num_layers, theta))
+    def measure(state, rng):
         histogram = sample_histogram(state, shots, rng)
         try:
-            selection = select_feasible_topk(
-                histogram, encoding, problem.num_sensors, problem.position_of
-            )
+            selection = select_feasible_topk(histogram, encoding, problem.num_sensors, problem.position_of)
         except InsufficientSupportError:
-            return penalty
+            return penalty, None, math.inf
         value = selection_objective(selection, problem)
-        if best["objective"] is None or value < best["objective"]:
-            best["objective"] = value
-            best["selection"] = selection
-        return value
+        return value, selection, value
 
-    trace = _minimize_traced(score, n * num_layers, optimizer, rng)
-    if best["selection"] is None:
+    selection, trace = _minimize_traced(measure, encoding.num_qubits, num_layers, optimizer, seed)
+    if selection is None:
         raise InsufficientSupportError("no evaluation produced a feasible selection")
-    result = evaluate_selection(best["selection"], problem, "vqe_fixed_count", seed=seed)
+    result = evaluate_selection(selection, problem, "vqe_fixed_count", seed=seed)
     return VqeRun(result=result, trace=trace)
 
 
 # ---------------------------------------------------------------------------
 # Mode 2: diagonal-Hamiltonian expectation over spin models
-
-
-@dataclass(frozen=True)
-class DiagonalVqeOutcome:
-    best_state: int
-    best_energy: float
-    best_expectation: float
-    trace: list[tuple[int, float, NDArray[np.float64]]]
-
-    @property
-    def num_evals(self) -> int:
-        return len(self.trace)
 
 
 def basis_energies(model: IsingModel) -> NDArray[np.float64]:
@@ -452,58 +439,12 @@ def basis_energies(model: IsingModel) -> NDArray[np.float64]:
 OBSERVATION_FLOOR = 0.01
 
 
-def minimize_ising_expectation(
-    model: IsingModel,
-    num_layers: int = 3,
-    optimizer: OptimizerConfig = OptimizerConfig(),
-    seed: int = 0,
-    energies: NDArray[np.float64] | None = None,
-) -> DiagonalVqeOutcome:
-    """Drive the ansatz to minimize the expected spin-model energy.
-
-    The expectation is computed exactly from the statevector
-    probabilities, so a run is deterministic for its seed.  The returned
-    answer is the best-energy basis state observed across the run: the
-    states with probability at least ``OBSERVATION_FLOOR``, or the most
-    probable state when none clears the floor.  ``energies`` is
-    ``basis_energies(model)``, computed here when not given.
-    """
-    n = model.num_spins
-    _check_qubits(n)
-    if energies is None:
-        energies = basis_energies(model)
-    rng = np.random.default_rng(seed)
-    base = uniform_state(n)
-
-    best: dict = {"energy": None, "state": None}
-
-    def score(theta) -> float:
-        state = apply_ansatz(base, AnsatzSpec(n, num_layers, theta))
-        probs = np.abs(state) ** 2
-        visible = np.flatnonzero(probs >= OBSERVATION_FLOOR)
-        if not visible.size:
-            visible = np.array([np.argmax(probs)])
-        k = int(visible[np.argmin(energies[visible])])
-        if best["energy"] is None or energies[k] < best["energy"]:
-            best["energy"] = float(energies[k])
-            best["state"] = k
-        return float(probs @ energies)
-
-    trace = _minimize_traced(score, n * num_layers, optimizer, rng)
-    return DiagonalVqeOutcome(
-        best_state=best["state"],
-        best_energy=best["energy"],
-        best_expectation=min(value for _, value, _ in trace),
-        trace=trace,
-    )
-
-
 def vqe_ising(
     model: IsingModel,
     data: CoverageData,
     catalog,
-    coverage_weight: float = 1.0,
-    cost_weight: float = 1e-4,
+    coverage_weight: float = DEFAULT_COVERAGE_WEIGHT,
+    cost_weight: float = DEFAULT_COST_WEIGHT,
     num_layers: int = 3,
     optimizer: OptimizerConfig = OptimizerConfig(),
     seed: int = 0,
@@ -511,14 +452,27 @@ def vqe_ising(
 ) -> VqeRun:
     """Variational free-count selection over the spin form of the quadratic model.
 
-    One qubit per candidate.  The best-energy basis state observed is
-    decoded into a selection and reported with its exact union coverage.
-    Repeated runs on one model can share its ``basis_energies``.
+    One qubit per candidate; each evaluation's value is the exact expected
+    model energy.  The answer is the best-energy basis state observed, at
+    probability ``OBSERVATION_FLOOR`` or more (the most probable state when
+    none is), reported with its exact union coverage.  Repeated runs on one
+    model can share its ``basis_energies``.
     """
     if model.num_spins != data.num_configs:
         raise ValueError("one spin per candidate required")
     problem = make_problem(data, catalog, 1, coverage_weight, cost_weight)
-    outcome = minimize_ising_expectation(model, num_layers, optimizer, seed, energies)
-    bits = enumerate_bits(np.array([outcome.best_state], dtype=np.int64), model.num_spins)[0]
+    if energies is None:
+        energies = basis_energies(model)
+
+    def measure(state, rng):
+        probs = np.abs(state) ** 2
+        visible = np.flatnonzero(probs >= OBSERVATION_FLOOR)
+        if not visible.size:
+            visible = np.array([np.argmax(probs)])
+        k = int(visible[np.argmin(energies[visible])])
+        return float(probs @ energies), k, energies[k]
+
+    state, trace = _minimize_traced(measure, model.num_spins, num_layers, optimizer, seed)
+    bits = enumerate_bits(np.array([state], dtype=np.int64), model.num_spins)[0]
     result = evaluate_bits(bits, problem, "vqe_ising", seed=seed)
-    return VqeRun(result=result, trace=outcome.trace)
+    return VqeRun(result=result, trace=trace)

@@ -118,10 +118,13 @@ class TestCatalogIo:
             "sensors: [{name: a, alpha_h: wide, alpha_v: 40, range: 120, cost: 200}]\n",
             "sensors: [{name: a, alpha_h: 80, alpha_v: 40, range: [1], cost: 200}]\n",
             "sensors: [{name: a, alpha_h: 80, alpha_v: 40, range: -1, cost: 200}]\n",
+            "sensors: [{name: a, alpha_h: 80, alpha_v: 40, range: .nan, cost: 200}]\n",
+            "sensors: [{name: a, alpha_h: 80, alpha_v: 40, range: 120, cost: .nan}]\n",
+            "sensors: [{name: a, alpha_h: 80, alpha_v: 40, range: 120, cost: .inf}]\n",
             "sensors: [lidar]\n",
         ],
         ids=["missing-file", "bad-yaml", "missing-fields", "non-numeric", "list-value",
-             "out-of-range", "not-a-mapping"],
+             "out-of-range", "nan-range", "nan-cost", "inf-cost", "not-a-mapping"],
     )
     def test_file_and_entry_errors_name_the_file(self, tmp_path, text):
         path = tmp_path / "catalog.yaml"
@@ -568,11 +571,13 @@ class TestCli:
         "bad",
         [["--synthetic-extent", "nan"], ["--synthetic-spacing", "nan"], ["--synthetic-extent", "inf"],
          ["--synthetic-spacing", "inf"], ["--synthetic-profile", "inverse_distance(nan)"],
-         ["--synthetic-profile", "inverse_distance(inf)"], ["--config", "z_levels.yaml"]],
+         ["--synthetic-profile", "inverse_distance(inf)"], ["--config", "z_levels.yaml"],
+         ["--vehicle-length", "nan"], ["--vehicle-width", "inf"], ["--vehicle-height", "nan"]],
     )
     def test_non_finite_synthetic_cloud_exits_2(self, tmp_path, capsys, bad):
         # NaN passed the positivity checks and crashed the grid generator
-        # (or, as a profile scale, wrote NaN coverage); inf overflowed it
+        # (or, as a profile scale, wrote NaN coverage); inf overflowed it.
+        # A NaN vehicle dimension gave n/a rows and zero coverage.
         (tmp_path / "z_levels.yaml").write_text("synthetic: {z_levels: [1.0, .nan]}\n")
         if bad[0] == "--config":
             bad = ["--config", str(tmp_path / bad[1])]

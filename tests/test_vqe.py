@@ -23,14 +23,15 @@ from sensorplace.vqe import (
     apply_ansatz,
     basis_energies,
     entangler_pairs,
-    minimize_ising_expectation,
     sample_histogram,
     select_feasible_topk,
     uniform_state,
     vqe_fixed_count,
+    vqe_ising,
 )
 
-from conftest import ising_model, side_instance
+from conftest import ising_model, random_instance, side_instance
+from vqe_oracle import vqe_fixed_count_loop, vqe_ising_loop
 from statevector_oracle import (
     apply_ansatz_gates,
     apply_ansatz_inverse,
@@ -359,18 +360,90 @@ class TestFixedCountLoop:
             vqe_fixed_count(problem, EncodingMap(4, 4, 4, 1), seed=0)
 
 
+def assert_same_run(got, want):
+    """Equal selections, and traces equal bit for bit."""
+    assert got.result == want.result
+    assert len(got.trace) == len(want.trace)
+    for (i, value, theta), (j, want_value, want_theta) in zip(got.trace, want.trace):
+        assert i == j
+        assert repr(float(value)) == repr(float(want_value))
+        assert theta.dtype == want_theta.dtype and theta.tobytes() == want_theta.tobytes()
+
+
+class TestDriverMatchesOracle:
+    """The shared driver reproduces the two separate loops it replaced."""
+
+    @staticmethod
+    def _fixed_count_case(k: int, exact: bool, seed: int = 3):
+        _, _, catalog, data = side_instance(np.random.default_rng(seed), grid=(2, 2), exact=exact)
+        return make_problem(data, catalog, num_sensors=k), EncodingMap(2, 2, len(catalog), 1)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["dyadic", "float"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("max_evals", [0, 60])
+    def test_fixed_count(self, k, exact, max_evals):
+        problem, encoding = self._fixed_count_case(k, exact)
+        for seed in (0, 1):
+            args = dict(optimizer=OptimizerConfig(max_evals=max_evals), shots=200, seed=seed)
+            assert_same_run(
+                vqe_fixed_count(problem, encoding, **args),
+                vqe_fixed_count_loop(problem, encoding, **args),
+            )
+
+    def test_few_shots_take_the_penalty_path(self):
+        problem, encoding = self._fixed_count_case(2, True)
+        penalty = problem.coverage_weight + problem.cost_weight * float(problem.costs.sum()) + 1.0
+        args = dict(optimizer=OptimizerConfig(max_evals=40), shots=3, seed=0)
+        run = vqe_fixed_count(problem, encoding, **args)
+        assert any(value == penalty for _, value, _ in run.trace)
+        assert any(value != penalty for _, value, _ in run.trace)
+        assert_same_run(run, vqe_fixed_count_loop(problem, encoding, **args))
+
+    def test_all_penalty_raises(self):
+        problem, encoding = self._fixed_count_case(2, True)
+        args = dict(optimizer=OptimizerConfig(max_evals=40), shots=1, seed=0)
+        with pytest.raises(InsufficientSupportError):
+            vqe_fixed_count_loop(problem, encoding, **args)
+        with pytest.raises(InsufficientSupportError):
+            vqe_fixed_count(problem, encoding, **args)
+
+    @pytest.mark.parametrize("num_spins", [1, 2, 3, 4, 5, 8, 12, 16])
+    def test_ising(self, num_spins):
+        rng = np.random.default_rng(num_spins)
+        model = ising_model(
+            rng.normal(size=num_spins),
+            {(i, j): float(rng.normal()) for i in range(num_spins) for j in range(i + 1, num_spins)},
+            float(rng.normal()),
+        )
+        if num_spins == 4:
+            model = ising_model(np.zeros(4), {})  # all energies tie: the first answer must stay
+        _, _, catalog, data = random_instance(rng, num_configs=num_spins)
+        energies = basis_energies(model)
+        max_evals = 200 if num_spins <= 8 else 30
+        for seed, shared in ((0, None), (1, energies)):
+            args = dict(optimizer=OptimizerConfig(max_evals=max_evals), seed=seed, energies=shared)
+            assert_same_run(
+                vqe_ising(model, data, catalog, **args),
+                vqe_ising_loop(model, data, catalog, **args),
+            )
+
+
 class TestIsingLoop:
     def test_single_spin_drives_to_ground(self):
         model = ising_model(np.array([-1.0]), {}, 0.0)
-        out = minimize_ising_expectation(model, num_layers=1, optimizer=OptimizerConfig(max_evals=80), seed=0)
-        assert out.best_expectation == pytest.approx(-1.0, abs=1e-6)
-        assert out.best_energy == -1.0
-        assert out.best_state == 1
+        _, _, catalog, data = random_instance(np.random.default_rng(0), num_configs=1)
+        run = vqe_ising(model, data, catalog, num_layers=1, optimizer=OptimizerConfig(max_evals=80), seed=0)
+        assert min(value for _, value, _ in run.trace) == pytest.approx(-1.0, abs=1e-6)
+        assert run.result.selected == (0,)
+        bits = np.zeros(1)
+        bits[list(run.result.selected)] = 1
+        assert model.energy_of_bits(bits) == -1.0
 
     def test_zero_model_expectation_is_zero(self):
         model = ising_model(np.zeros(3), {}, 0.0)
-        out = minimize_ising_expectation(model, optimizer=OptimizerConfig(max_evals=30), seed=1)
-        assert all(abs(e) < 1e-12 for _, e, _ in [(i, v, t) for i, v, t in out.trace])
+        _, _, catalog, data = random_instance(np.random.default_rng(1), num_configs=3)
+        run = vqe_ising(model, data, catalog, optimizer=OptimizerConfig(max_evals=30), seed=1)
+        assert all(abs(e) < 1e-12 for _, e, _ in run.trace)
 
     def test_basis_energies_match_model(self):
         rng = np.random.default_rng(7)
@@ -406,10 +479,11 @@ class TestOptimizerBudget:
             rng.normal(size=8),
             {(i, j): float(rng.normal()) for i in range(8) for j in range(i + 1, 8)},
         )
+        _, _, catalog, data = random_instance(rng, num_configs=8)
         optimizer = OptimizerConfig(max_evals=120)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = minimize_ising_expectation(model, optimizer=optimizer, seed=0)
+            out = vqe_ising(model, data, catalog, optimizer=optimizer, seed=0)
         assert out.num_evals <= optimizer.max_evals + 1
         assert len(out.trace) == out.num_evals
 
