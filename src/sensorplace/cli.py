@@ -6,8 +6,9 @@ and ``export-qubo`` (one side's model file for external solvers).
 Every subcommand turns its flags into a :class:`RunConfig` the same way
 and resolves its instance through the pipeline; the exports apply the
 input checks of ``solve`` but not its solver size caps.  Flags take
-their defaults from the dataclasses; when ``--config`` names a YAML
-file its values override the flags.
+their defaults from the dataclasses, and comma-separated angle and
+height lists become floats where the flags are read; when ``--config``
+names a YAML file its values override the flags.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .exports import write_fixed_count_lp, write_iqp_lp, write_qubo_coo
 from .fixed_count import make_problem
 from .geometry import Side, SIDE_ORDER, VehicleModel
 from .pipeline import (
+    APPROACH_SOLVERS,
     RunConfig,
     _prepare_side,
     _resolve_catalog,
@@ -68,7 +70,6 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
         help="'fixed' (perpendicular only), 'free' (per-side angle sets), or comma-separated "
         "degrees for every side",
     )
-    p.add_argument("--side", default="front", choices=[s.value for s in SIDE_ORDER])
     p.add_argument("--coverage-weight", type=float, default=_DEFAULTS.coverage_weight)
     p.add_argument("--cost-weight", type=float, default=_DEFAULTS.cost_weight)
 
@@ -78,6 +79,13 @@ def _parse_grid(text: str) -> tuple[int, int]:
     if not (sep and h.isdigit() and v.isdigit() and int(h) > 0 and int(v) > 0):
         raise ConfigError(f"--grid expects two positive counts as HxV, e.g. 4x4; got {text!r}")
     return int(h), int(v)
+
+
+def _parse_floats(flag: str, text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} expects comma-separated numbers; got {text!r}") from None
 
 
 def _flag_values(args, cls, prefix: str = "") -> dict:
@@ -99,8 +107,10 @@ def _run_config(args) -> RunConfig:
     )
     if "grid" in values:
         values["grid"] = _parse_grid(values["grid"])
+    if "z_levels" in (values["synthetic"] or {}):
+        values["synthetic"]["z_levels"] = _parse_floats("--z-levels", values["synthetic"]["z_levels"])
     if values.get("orientation_mode") not in (None, "fixed", "free"):
-        angles = values.pop("orientation_mode").split(",")
+        angles = _parse_floats("--orientations", values.pop("orientation_mode"))
         values["orientations"] = {side.value: angles for side in SIDE_ORDER}
     if hasattr(args, "min_sensors"):
         values["sensor_counts"] = list(range(args.min_sensors, args.max_sensors + 1))
@@ -191,18 +201,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_spec_args(p, "synthetic", ("extent", "spacing", "profile", "seed"), "")
     p.add_argument(
-        "--z-levels", dest="synthetic_z_levels", type=lambda text: text.split(","),
-        default=_DEFAULTS.synthetic.z_levels, help="comma-separated heights",
+        "--z-levels", dest="synthetic_z_levels",
+        default=",".join(map(str, _DEFAULTS.synthetic.z_levels)), help="comma-separated heights",
     )
     p.set_defaults(fn=_cmd_gen_roi)
 
     p = sub.add_parser("solve", help="run the full pipeline over all sides")
     _add_instance_args(p)
     p.add_argument("--config", help="YAML run config; file values override flags")
-    p.add_argument("--approach", default=_DEFAULTS.approach, choices=["fixed_count", "setcover"])
+    p.add_argument("--approach", default=_DEFAULTS.approach, choices=list(APPROACH_SOLVERS))
     p.add_argument(
         "--solver", dest="solvers", metavar="SOLVER", action="append",
-        help="repeatable; fixed_count: exhaustive/greedy/vqe, setcover: exhaustive/anneal/vqe",
+        help="repeatable; " + ", ".join(f"{a}: {'/'.join(s)}" for a, s in APPROACH_SOLVERS.items()),
     )
     p.add_argument("--min-sensors", type=int, default=min(_DEFAULTS.sensor_counts))
     p.add_argument("--max-sensors", type=int, default=max(_DEFAULTS.sensor_counts))
@@ -228,13 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-lp", help="write an LP model file")
     _add_instance_args(p)
-    p.add_argument("--approach", default=_DEFAULTS.approach, choices=["fixed_count", "setcover"])
+    p.add_argument("--side", default="front", choices=[s.value for s in SIDE_ORDER])
+    p.add_argument("--approach", default=_DEFAULTS.approach, choices=list(APPROACH_SOLVERS))
     p.add_argument("--num-sensors", type=int, default=2)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_export_lp)
 
     p = sub.add_parser("export-qubo", help="write the QUBO in coordinate text format")
     _add_instance_args(p)
+    p.add_argument("--side", default="front", choices=[s.value for s in SIDE_ORDER])
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_export_qubo)
 

@@ -9,6 +9,11 @@ runs with the same configuration produce byte-identical CSV output.
 
 Sides are independent sub-problems; they are solved sequentially here
 but share nothing except immutable inputs.
+
+A :class:`RunConfig` and the per-side selections are written in their
+plain form (``manifest.json``, ``selections.json``) and read back
+through the typed reader of :mod:`sensorplace.plain`, which also
+decodes the nested specs and orientation map of a ``--config`` file.
 """
 
 from __future__ import annotations
@@ -16,10 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
-from enum import Enum
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from .geometry import (
     enumerate_configs,
     partition_roi,
 )
+from .plain import _from_plain, _has_type, _plain
 from .reporting import (
     AggregateReport,
     RunStats,
@@ -208,77 +212,6 @@ def derive_seed(base: int, *parts) -> int:
     return int.from_bytes(h[:8], "big") >> 1
 
 
-def _plain(value):
-    """JSON-ready form of a config or result value: dataclasses become dicts,
-    tuples lists and enum members their values."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {_plain(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    if isinstance(value, Enum):
-        return value.value
-    return value
-
-
-def _from_plain(value, hint):
-    """The value of annotated type ``hint`` whose :func:`_plain` form is
-    ``value``; a form that does not fit raises ValueError."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:  # an optional value, ``X | None``
-        return None if value is None else _from_plain(value, args[0])
-    if is_dataclass(hint):
-        names = [f.name for f in fields(hint)]
-        if not isinstance(value, dict) or sorted(value) != sorted(names):
-            raise ValueError(f"a {hint.__name__} needs exactly the fields {', '.join(names)}")
-        hints = get_type_hints(hint)
-        return hint(**{name: _from_plain(value[name], hints[name]) for name in names})
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return hint(value)
-    if origin is dict and isinstance(value, dict):
-        return {_from_plain(k, args[0]): _from_plain(v, args[1]) for k, v in value.items()}
-    if origin is tuple and isinstance(value, list):
-        items = args[:1] * len(value) if args[-1] is Ellipsis else args
-        if len(items) == len(value):
-            return tuple(map(_from_plain, value, items))
-    elif _has_type(value, hint):
-        return float(value) if hint is float else value
-    raise ValueError(f"expected {hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
-
-
-def _has_type(value, hint) -> bool:
-    """Whether ``value`` is of the annotated type ``hint`` as it stands: an
-    int passes for a float and a list for a tuple, a bool for no number."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:
-        return any(_has_type(value, a) for a in args)
-    if origin is dict and isinstance(value, dict):
-        return all(_has_type(k, args[0]) and _has_type(v, args[1]) for k, v in value.items())
-    if origin is tuple and isinstance(value, (list, tuple)):
-        items = args[:1] * len(value) if args[-1] is Ellipsis else args
-        return len(value) == len(items) and all(map(_has_type, value, items))
-    if hint is float:
-        hint = int | float
-    return isinstance(value, origin or hint) and (hint is bool or not isinstance(value, bool))
-
-
-def _spec_from_dict(cls, d: dict):
-    """A nested spec (cloud, vehicle) with each value coerced to its default's type."""
-    unknown = set(d) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(sorted(unknown))}")
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in d:
-            kind = type(f.default)
-            if kind is tuple:
-                kwargs[f.name] = tuple(type(f.default[0])(x) for x in d[f.name])
-            else:
-                kwargs[f.name] = kind(d[f.name])
-    return cls(**kwargs)
-
-
 def config_to_dict(config: RunConfig) -> dict:
     """JSON-ready form of a run config, as written to ``manifest.json``."""
     return _plain(config)
@@ -287,26 +220,28 @@ def config_to_dict(config: RunConfig) -> dict:
 def config_from_dict(d: dict) -> RunConfig:
     """Inverse of :func:`config_to_dict`; absent keys keep the dataclass defaults.
 
-    Values other than nested specs and orientation angles are not coerced;
+    A nested ``synthetic`` or ``vehicle`` map overrides its default's
+    fields, and it and an ``orientations`` map decode through
+    :func:`_from_plain`, naming the field of a value that does not fit.
+    Other values are kept as given (a list becomes a tuple);
     :func:`validate_inputs` checks their types.
     """
     defaults = {f.name: f.default for f in fields(RunConfig)}
     unknown = set(d) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    hints = get_type_hints(RunConfig)
     kwargs = {}
-    try:
-        for name, value in d.items():
-            if isinstance(value, dict) and is_dataclass(defaults[name]):
-                value = _spec_from_dict(type(defaults[name]), value)
+    for name, value in d.items():
+        default = defaults[name]
+        try:
+            if isinstance(value, dict) and is_dataclass(default):
+                value = _from_plain({**_plain(default), **value}, type(default))
             elif name == "orientations" and isinstance(value, dict):
-                value = {Side(k): tuple(map(float, v)) if isinstance(v, (list, tuple)) else v
-                         for k, v in value.items()}
-            elif isinstance(value, list):
-                value = tuple(value)
-            kwargs[name] = value
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from None
+                value = _from_plain(value, hints[name])
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
     return RunConfig(**kwargs)
 
 

@@ -8,9 +8,11 @@ is a small YAML file::
     sensors:
       - {name: lidar, alpha_h: 80, alpha_v: 40, range: 120, cost: 200}
 
-A missing or unreadable input file, invalid YAML and a catalog entry
-with a missing or malformed field raise :class:`ConfigError` naming the
-file.
+Each entry is the plain form of a :class:`SensorSpec` and is read by
+:func:`sensorplace.plain._from_plain`: an integer is read as a float,
+and nothing else is converted.  A missing or unreadable input file,
+invalid YAML, and a catalog entry with a missing, unknown or mistyped
+field raise :class:`ConfigError` naming the file and the entry.
 
 The synthetic generator lays a regular grid around the vehicle at a
 fixed spacing and assigns criticalities from a named profile, so every
@@ -30,11 +32,9 @@ import yaml
 
 from .errors import ConfigError, EmptyFileError, RoiParseError
 from .geometry import RoiCloud, SensorSpec, VehicleModel
+from .plain import _from_plain, _plain
 
 ROI_HEADER = ["x", "y", "z", "criticality"]
-
-#: Numeric fields every catalog entry must carry besides its name.
-_CATALOG_FIELDS = ("alpha_h", "alpha_v", "range", "cost")
 
 
 def read_input(path) -> str:
@@ -102,38 +102,17 @@ def load_catalog(path) -> tuple[SensorSpec, ...]:
         raise ConfigError(f"{path}: expected a mapping with a nonempty 'sensors' list")
     specs = []
     for i, entry in enumerate(doc["sensors"]):
-        where = f"{path}: sensors[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}: expected a mapping of sensor fields")
-        missing = [name for name in ("name",) + _CATALOG_FIELDS if name not in entry]
-        if missing:
-            raise ConfigError(f"{where}: missing field {', '.join(missing)}")
         try:
-            values = {name: float(entry[name]) for name in _CATALOG_FIELDS}
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: non-numeric field in {entry!r}") from None
-        try:
-            specs.append(SensorSpec(name=str(entry["name"]), **values))
+            specs.append(_from_plain(entry, SensorSpec))
         except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+            raise ConfigError(f"{path}: sensors[{i}]: {exc}") from None
     return tuple(specs)
 
 
 def save_catalog(catalog, path) -> None:
-    doc = {
-        "sensors": [
-            {
-                "name": s.name,
-                "alpha_h": s.alpha_h,
-                "alpha_v": s.alpha_v,
-                "range": s.range,
-                "cost": s.cost,
-            }
-            for s in catalog
-        ]
-    }
+    """Write a catalog YAML that :func:`load_catalog` reads back to ``catalog``."""
     with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+        yaml.safe_dump({"sensors": [_plain(s) for s in catalog]}, fh, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,13 @@ class TestCatalogIo:
             "sensors: [{name: a, alpha_h: 80, alpha_v: 40, range: 120, cost: .nan}]\n",
             "sensors: [{name: a, alpha_h: 80, alpha_v: 40, range: 120, cost: .inf}]\n",
             "sensors: [lidar]\n",
+            "sensors: [{name: 5, alpha_h: 80, alpha_v: 40, range: 120, cost: 200}]\n",
+            "sensors: [{name: a, alpha_h: \"80\", alpha_v: 40, range: 120, cost: 200}]\n",
+            "sensors: [{name: a, alpha_h: 80, alpha_v: 40, range: 120, cost: 200, colour: red}]\n",
         ],
         ids=["missing-file", "bad-yaml", "missing-fields", "non-numeric", "list-value",
-             "out-of-range", "nan-range", "nan-cost", "inf-cost", "not-a-mapping"],
+             "out-of-range", "nan-range", "nan-cost", "inf-cost", "not-a-mapping",
+             "numeric-name", "string-number", "unknown-key"],
     )
     def test_file_and_entry_errors_name_the_file(self, tmp_path, text):
         path = tmp_path / "catalog.yaml"
@@ -602,11 +606,22 @@ class TestCli:
         assert err.startswith("error: synthetic grid") and "Traceback" not in err
         assert not out.exists()
 
-    def test_non_finite_z_level_exits_2_in_gen_roi(self, tmp_path, capsys):
+    @pytest.mark.parametrize("levels", ["1,nan", "1,abc"])
+    def test_non_finite_z_level_exits_2_in_gen_roi(self, tmp_path, capsys, levels):
         out = tmp_path / "roi.csv"
-        assert cli_main(["gen-roi", "--out", str(out), "--z-levels", "1,nan"]) == 2
+        assert cli_main(["gen-roi", "--out", str(out), "--z-levels", levels]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_solve_has_no_side_flag(self, tmp_path, capsys):
+        # solve accepted --side, ignored it and solved all four sides
+        argv = ["solve", "--side", "left", "--grid", "1x1", "--solver", "greedy", "--max-sensors", "1",
+                "--outdir", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "--side" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_orientation_list_applies_to_every_side(self, tmp_path):
         out = tmp_path / "out"
@@ -715,6 +730,10 @@ class TestCli:
             ({"orientations": {"front": "30", "back": [0], "left": [0], "right": [0]}}, [], "orientations"),
             ({"fov_model": "elliptical"}, [], "fov_model"),
             ({"vehicle": {"origin": [0.0, 0.0, 0.0]}}, [], "origin"),
+            ({"synthetic": {"z_levels": "12"}}, [], "z_levels"),
+            ({"synthetic": {"seed": 2.7}}, [], "seed"),
+            ({"vehicle": {"length": True}}, [], "length"),
+            ({"orientations": {"front": ["30"], "back": [0], "left": [0], "right": [0]}}, [], "orientations"),
             ({}, ["--orientations", "0,nan"], "side front"),
         ],
     )
