@@ -39,8 +39,10 @@ data = build_coverage(back, configs, DEFAULT_CATALOG)
 model = build_iqp(data, DEFAULT_CATALOG)
 print(f"quadratic model: {model.num_variables} binary variables")
 
+# the free-count problem (no fixed count) scores every sampler's answer
+problem = make_problem(data, DEFAULT_CATALOG, None)
 bits, energy = solve_exhaustive_qubo(model)
-exact = evaluate_bits(bits, make_problem(data, DEFAULT_CATALOG, 1), "exhaustive_qubo")
+exact = evaluate_bits(bits, problem, "exhaustive_qubo")
 print(f"exhaustive optimum: energy {energy:.4f}, {len(exact.selected)} sensors, "
       f"coverage {exact.coverage:.4f}, cost {exact.cost:.0f}")
 
@@ -53,7 +55,7 @@ for k in range(min(3, len(samples))):
     bits_str = "".join(str(int(b)) for b in samples.assignments[k])
     print(f"  {samples.energies[k]:9.4f}  x{samples.multiplicities[k]:<4d} {bits_str}")
 
-result = best_selection(samples, data, DEFAULT_CATALOG)
+result = best_selection(samples, problem)
 print(f"annealer pick: {result.selected} -> coverage {result.coverage:.4f}, "
       f"cost {result.cost:.0f}, objective {result.objective:.4f}")
 print(f"matches exhaustive energy: {abs(samples.best()[1] - energy) < 1e-9}")

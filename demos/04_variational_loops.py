@@ -66,7 +66,8 @@ print(f"\nmode 2: {data8.num_configs} candidates = {data8.num_configs} qubits, f
 bits, energy = solve_exhaustive_qubo(model)
 print(f"  exhaustive optimum: energy {energy:.4f}, bits {''.join(map(str, bits))}")
 
-runs = [vqe_ising(ising, data8, TWO_TYPES, seed=seed).result for seed in range(10)]
+problem8 = make_problem(data8, TWO_TYPES, None)  # free count
+runs = [vqe_ising(ising, problem8, seed=seed).result for seed in range(10)]
 retained, stats = drop_worst_and_summarize(runs)
 hits = sum(
     abs(model.energy(np.isin(np.arange(8), r.selected).astype(float)) - energy) < 1e-9

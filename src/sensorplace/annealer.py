@@ -22,7 +22,8 @@ generator per read also grow with the number of reads.
 
 Results are returned as a :class:`SampleSet`: unique assignments (as
 bits under the x = (1+z)/2 convention), their model energies and their
-multiplicities, sorted by energy.
+multiplicities, sorted by energy.  :func:`best_selection` scores the
+lowest-energy sample through the side's free-count problem.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .fixed_count import DEFAULT_COST_WEIGHT, DEFAULT_COVERAGE_WEIGHT, evaluate_bits, make_problem
+from .fixed_count import FixedCountProblem, SelectionResult, evaluate_bits
 from .setcover import IsingModel
 
 # Memory cap for each of the two uniform block buffers (doubles).
@@ -200,21 +201,15 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
 
 
 def best_selection(
-    samples: SampleSet,
-    data,
-    catalog,
-    coverage_weight: float = DEFAULT_COVERAGE_WEIGHT,
-    cost_weight: float = DEFAULT_COST_WEIGHT,
-    seed: int | None = None,
-):
+    samples: SampleSet, problem: FixedCountProblem, seed: int | None = None
+) -> SelectionResult:
     """Decode the lowest-energy sample into a :class:`SelectionResult`.
 
     Reported coverage is the exact union coverage of the decoded set,
-    not the quadratic approximation the sampler optimized.  The count
-    constraint does not apply to the free-count formulation, so the
-    feasibility flag reflects position uniqueness only.
+    not the quadratic approximation the sampler optimized.  Costs and
+    weights come from ``problem``, whose count is normally free (None),
+    so the feasibility flag reflects position uniqueness only.
     """
     if len(samples) == 0:
         raise ValueError("sample set is empty")
-    problem = make_problem(data, catalog, 1, coverage_weight, cost_weight)
     return evaluate_bits(samples.best()[0], problem, "anneal", seed=seed)

@@ -1,7 +1,9 @@
-"""Fixed sensor-count selection: minimize -w_cov * coverage + w_cost * cost.
+"""Sensor selection: minimize -w_cov * coverage + w_cost * cost.
 
 The decision is which candidates to mount, subject to at most one sensor
-per position and exactly ``num_sensors`` sensors in total.  Covered-point
+per position and exactly ``num_sensors`` sensors in total.  A problem
+whose ``num_sensors`` is None has a free count: it is the scorer of the
+quadratic (free-count) formulation, whose count is an output.  Covered-point
 indicator variables are never materialized: at any optimum they equal
 the OR of the selected coverage rows, so the objective is evaluated
 directly from the precomputed masks.
@@ -60,20 +62,21 @@ class SelectionResult:
 
 @dataclass(frozen=True)
 class FixedCountProblem:
-    """One side's fixed-count instance over precomputed coverage."""
+    """One side's selection instance over precomputed coverage; a
+    ``num_sensors`` of None leaves the count free."""
 
     data: CoverageData
     costs: NDArray[np.float64]
     coverage_weight: float
     cost_weight: float
-    num_sensors: int
+    num_sensors: int | None
     position_groups: dict[int, tuple[int, ...]]
     position_of: NDArray[np.int64]
 
     def __post_init__(self):
-        if self.coverage_weight < 0.0 or self.cost_weight < 0.0:
-            raise ValueError("objective weights must be non-negative")
-        if not 1 <= self.num_sensors <= len(self.position_groups):
+        if not all(0.0 <= w < math.inf for w in (self.coverage_weight, self.cost_weight)):
+            raise ValueError("objective weights must be finite and non-negative")
+        if self.num_sensors is not None and not 1 <= self.num_sensors <= len(self.position_groups):
             raise ValueError(
                 f"num_sensors must be in [1, {len(self.position_groups)}], got {self.num_sensors}"
             )
@@ -100,7 +103,7 @@ def position_index_map(configs) -> tuple[dict[int, tuple[int, ...]], NDArray[np.
 def make_problem(
     data: CoverageData,
     catalog,
-    num_sensors: int,
+    num_sensors: int | None,
     coverage_weight: float = DEFAULT_COVERAGE_WEIGHT,
     cost_weight: float = DEFAULT_COST_WEIGHT,
 ) -> FixedCountProblem:
@@ -134,14 +137,12 @@ def evaluate_selection(
     problem: FixedCountProblem,
     solver_tag: str,
     seed: int | None = None,
-    free_count: bool = False,
 ) -> SelectionResult:
     """Package a selection into a :class:`SelectionResult` with exact metrics.
 
     Costs, weights and positions come from ``problem``.  The feasibility
-    flag always requires pairwise-distinct positions; the sensor-count
-    constraint applies unless ``free_count`` is set (the quadratic
-    formulation, whose count is an output).
+    flag always requires pairwise-distinct positions, and the problem's
+    sensor count unless that count is free.
     """
     idx = tuple(sorted(int(i) for i in selection))
     cov = exact_union_coverage(idx, problem.data)
@@ -153,7 +154,7 @@ def evaluate_selection(
         cost=cost,
         objective=-problem.coverage_weight * cov + problem.cost_weight * cost,
         solver_tag=solver_tag,
-        feasible=distinct and (free_count or len(idx) == problem.num_sensors),
+        feasible=distinct and problem.num_sensors in (None, len(idx)),
         configs=tuple(problem.data.configs[i] for i in idx),
         seed=seed,
     )
@@ -165,8 +166,8 @@ def evaluate_bits(
     solver_tag: str,
     seed: int | None = None,
 ) -> SelectionResult:
-    """Decode a free-count bit vector (bit i set = candidate i mounted) and score it."""
-    return evaluate_selection(np.flatnonzero(bits), problem, solver_tag, seed, free_count=True)
+    """Decode a bit vector (bit i set = candidate i mounted) and score it."""
+    return evaluate_selection(np.flatnonzero(bits), problem, solver_tag, seed)
 
 
 def _legal_next(prefixes: NDArray[np.int64], position_of: NDArray[np.int64]) -> NDArray[np.bool_]:

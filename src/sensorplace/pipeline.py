@@ -117,13 +117,10 @@ class RunConfig:
     dump_traces: bool = False
 
     def side_orientations(self, side: Side) -> tuple[float, ...]:
+        """Candidate angles of one side; :func:`validate_inputs` checks the mode."""
         if self.orientations is not None:
             return self.orientations.get(side, ())
-        if self.orientation_mode == "fixed":
-            return (0.0,)
-        if self.orientation_mode == "free":
-            return DEFAULT_FREE_ORIENTATIONS[side]
-        raise ConfigError(f"unknown orientation mode {self.orientation_mode!r}")
+        return DEFAULT_FREE_ORIENTATIONS[side] if self.orientation_mode == "free" else (0.0,)
 
 
 def validate_inputs(config: RunConfig) -> None:
@@ -154,8 +151,8 @@ def validate_inputs(config: RunConfig) -> None:
         raise ConfigError("fixed_count needs a nonempty sensor_counts sweep")
     if any(k < 1 for k in config.sensor_counts):
         raise ConfigError(f"every sensor count must be >= 1, got {config.sensor_counts!r}")
-    if config.coverage_weight < 0.0 or config.cost_weight < 0.0:
-        raise ConfigError("coverage_weight and cost_weight must be non-negative")
+    if not all(0.0 <= w < np.inf for w in (config.coverage_weight, config.cost_weight)):
+        raise ConfigError("coverage_weight and cost_weight must be finite and non-negative")
     # each solver setting is checked by the settings object that uses it,
     # whichever solvers are selected
     for name, build in (
@@ -173,8 +170,10 @@ def validate_inputs(config: RunConfig) -> None:
             raise ConfigError(f"{name} must be >= 1, got {getattr(config, name)!r}")
     if min(config.grid) < 1:
         raise ConfigError(f"grid must be two positive cell counts, got {config.grid!r}")
+    if config.orientation_mode not in ("fixed", "free"):
+        raise ConfigError(f"orientation_mode must be 'fixed' or 'free', got {config.orientation_mode!r}")
     for side in SIDE_ORDER:
-        angles = config.side_orientations(side)  # validates the orientation mode
+        angles = config.side_orientations(side)
         if not angles or not np.isfinite(angles).all():
             raise ConfigError(f"side {side.value} needs nonempty finite orientations, got {angles!r}")
 
@@ -296,10 +295,7 @@ def _solve_fixed_count(
 ) -> tuple[SelectionResult | None, list[SweepRow]]:
     """One side's best result over the sensor-count sweep (None when every
     count fails), and one sweep row per count."""
-    problem = make_problem(
-        data, catalog, num_sensors=1,
-        coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
-    )
+    problem = make_problem(data, catalog, None, config.coverage_weight, config.cost_weight)
     stats: dict[int, RunStats] = {}
     if solver == "exhaustive":
         fn = solve_exhaustive
@@ -337,14 +333,11 @@ def _solve_setcover(
     config: RunConfig, solver: str, side: Side, data: CoverageData, catalog, out: Path
 ) -> tuple[SelectionResult, list[SweepRow]]:
     """One side's free-count result, and its single sweep row."""
-    model = build_iqp(
-        data, catalog,
-        coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
-    )
+    model = build_iqp(data, catalog, config.coverage_weight, config.cost_weight)
+    problem = make_problem(data, catalog, None, config.coverage_weight, config.cost_weight)
     stats = None
     if solver == "exhaustive":
         bits, _energy = solve_exhaustive_qubo(model)
-        problem = make_problem(data, catalog, 1, config.coverage_weight, config.cost_weight)
         result = evaluate_bits(bits, problem, "exhaustive_qubo")
     elif solver == "anneal":
         ising = to_ising(model)
@@ -357,10 +350,7 @@ def _solve_setcover(
         samples = anneal(ising, schedule)
         if config.dump_samples:
             samples.to_csv(out / f"samples_{side.value}.csv")
-        result = best_selection(
-            samples, data, catalog,
-            config.coverage_weight, config.cost_weight, seed=schedule.seed,
-        )
+        result = best_selection(samples, problem, seed=schedule.seed)
     else:  # vqe
         ising = to_ising(model)
         optimizer = OptimizerConfig(max_evals=config.vqe_max_evals)
@@ -368,10 +358,8 @@ def _solve_setcover(
         result, stats = _stochastic_runs(
             config,
             lambda seed: vqe_ising(
-                ising, data, catalog,
-                coverage_weight=config.coverage_weight, cost_weight=config.cost_weight,
-                num_layers=config.vqe_layers, optimizer=optimizer, seed=seed,
-                energies=energies,
+                ising, problem, num_layers=config.vqe_layers, optimizer=optimizer,
+                seed=seed, energies=energies,
             ),
             ("vqe_ising", side.value),
             f"trace_{solver}_{side.value}",

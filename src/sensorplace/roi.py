@@ -155,6 +155,8 @@ class SyntheticRoiSpec:
             raise ValueError("at least one z level required")
         if not all(map(math.isfinite, self.z_levels)):
             raise ValueError(f"z levels must be finite, got {self.z_levels!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         parse_profile(self.profile)  # fail fast on typos
 
 

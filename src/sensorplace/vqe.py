@@ -17,8 +17,9 @@ supplies only the measurement of an ansatz state:
   feasible basis states as the sensor selection, and scores it with the
   exact-coverage objective;
 * spin mode takes the exact expectation of a diagonal spin Hamiltonian
-  over the statevector probabilities as its value, and answers with the
-  best-energy basis state observed along the way.
+  over the statevector probabilities as its value, answers with the
+  best-energy basis state observed along the way, and scores it through
+  the side's free-count problem.
 
 Statevector indices read the qubits most-significant first: qubit 0 is
 the leftmost bit of the basis index.
@@ -43,16 +44,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .coverage import CoverageData
 from .errors import InsufficientSupportError
 from .fixed_count import (
-    DEFAULT_COST_WEIGHT,
-    DEFAULT_COVERAGE_WEIGHT,
     FixedCountProblem,
     SelectionResult,
     evaluate_bits,
     evaluate_selection,
-    make_problem,
     objective as selection_objective,
 )
 from .setcover import IsingModel, enumerate_bits
@@ -441,10 +438,7 @@ OBSERVATION_FLOOR = 0.01
 
 def vqe_ising(
     model: IsingModel,
-    data: CoverageData,
-    catalog,
-    coverage_weight: float = DEFAULT_COVERAGE_WEIGHT,
-    cost_weight: float = DEFAULT_COST_WEIGHT,
+    problem: FixedCountProblem,
     num_layers: int = 3,
     optimizer: OptimizerConfig = OptimizerConfig(),
     seed: int = 0,
@@ -455,12 +449,11 @@ def vqe_ising(
     One qubit per candidate; each evaluation's value is the exact expected
     model energy.  The answer is the best-energy basis state observed, at
     probability ``OBSERVATION_FLOOR`` or more (the most probable state when
-    none is), reported with its exact union coverage.  Repeated runs on one
-    model can share its ``basis_energies``.
+    none is), scored through ``problem`` (normally free-count) with its exact
+    union coverage.  Repeated runs on one model can share its ``basis_energies``.
     """
-    if model.num_spins != data.num_configs:
+    if model.num_spins != problem.data.num_configs:
         raise ValueError("one spin per candidate required")
-    problem = make_problem(data, catalog, 1, coverage_weight, cost_weight)
     if energies is None:
         energies = basis_energies(model)
 

@@ -209,7 +209,7 @@ def test_07_variational_free_count_reaches_qubo_optimum():
     runs = []
     energies = []
     for seed in range(10):
-        outcome = vqe_ising(ising, data, TWO_TYPE_CATALOG, seed=seed)
+        outcome = vqe_ising(ising, make_problem(data, TWO_TYPE_CATALOG, None), seed=seed)
         runs.append(outcome.result)
         bits = np.zeros(data.num_configs)
         bits[list(outcome.result.selected)] = 1.0

@@ -13,6 +13,7 @@ from sensorplace.annealer import (
     suggest_beta_range,
     _read_rng,
 )
+from sensorplace.fixed_count import make_problem
 from sensorplace.geometry import Side
 from sensorplace.setcover import build_iqp, solve_exhaustive_qubo, to_ising
 
@@ -237,7 +238,7 @@ class TestGroundStateRecovery:
         model = build_iqp(data, catalog)
         ising = to_ising(model)
         samples = anneal(ising, AnnealSchedule(num_reads=500, sweeps_per_read=300, seed=11))
-        result = best_selection(samples, data, catalog)
+        result = best_selection(samples, make_problem(data, catalog, None))
         xb, eb = solve_exhaustive_qubo(model)
         # the instance has symmetric degenerate optima, so compare energies
         bits = np.zeros(data.num_configs, dtype=np.uint8)
@@ -255,7 +256,7 @@ class TestGroundStateRecovery:
         model = build_iqp(data, catalog, coverage_weight=0.0, cost_weight=1e-4)
         samples = anneal(to_ising(model), quick_schedule())
         assert samples.best()[0].tolist() == [0, 0, 0, 0]
-        result = best_selection(samples, data, catalog, coverage_weight=0.0)
+        result = best_selection(samples, make_problem(data, catalog, None, coverage_weight=0.0))
         assert result.selected == ()
         assert result.coverage == 0.0 and result.cost == 0.0
 
@@ -265,6 +266,6 @@ class TestGroundStateRecovery:
         _, _, catalog, data = disjoint_instance(4, costs=[10, 9000, 9000, 9000])
         model = build_iqp(data, catalog)
         samples = anneal(to_ising(model), quick_schedule())
-        result = best_selection(samples, data, catalog)
+        result = best_selection(samples, make_problem(data, catalog, None))
         assert result.selected == (0,)
         assert result.coverage == data.singles[0]

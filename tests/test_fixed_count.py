@@ -114,16 +114,16 @@ class TestEvaluateSelection:
         _, _, catalog, data = side_instance(rng, grid=(2, 2))
         problem = make_problem(data, catalog, num_sensors=2)
         assert not evaluate_selection([0, 5, 10], problem, "test").feasible
-        assert evaluate_selection([0, 5, 10], problem, "test", free_count=True).feasible
+        assert evaluate_selection([0, 5, 10], make_problem(data, catalog, None), "test").feasible
 
     def test_bits_decode_to_the_set_candidates(self):
         rng = np.random.default_rng(5)
         _, _, catalog, data = side_instance(rng, grid=(2, 2))
-        problem = make_problem(data, catalog, num_sensors=1)
+        problem = make_problem(data, catalog, None)
         bits = np.zeros(data.num_configs, dtype=np.uint8)
         bits[[0, 5, 10]] = 1
         result = evaluate_bits(bits, problem, "test")
-        assert result == evaluate_selection([0, 5, 10], problem, "test", free_count=True)
+        assert result == evaluate_selection([0, 5, 10], problem, "test")
         assert result.feasible
         assert evaluate_bits(np.zeros(data.num_configs), problem, "test").selected == ()
 
@@ -305,6 +305,14 @@ class TestSolveGreedy:
         with pytest.raises(ValueError):
             # more sensors than positions is rejected at construction
             make_problem(data, catalog, num_sensors=4)
+
+    @pytest.mark.parametrize("weights", [(-1.0, 1e-4), (float("nan"), 1e-4), (1.0, float("inf"))])
+    @pytest.mark.parametrize("count", [2, None])
+    def test_weights_must_be_finite_and_non_negative(self, weights, count):
+        # a NaN or infinite weight gave nan or -inf objectives
+        _, _, catalog, data = disjoint_instance(3)
+        with pytest.raises(ValueError, match="weights"):
+            make_problem(data, catalog, count, *weights)
 
 
 class TestSweep:

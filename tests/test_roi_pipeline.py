@@ -525,6 +525,12 @@ class TestCli:
             assert argv[0] == "sensorplace"
             build_parser().parse_args(argv[1:])
 
+    def test_readme_library_tour_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.count("SelectionResult(") == 2
+
     def test_config_file_overrides_flags(self, tmp_path):
         cfg = tmp_path / "run.yaml"
         out = tmp_path / "out"
@@ -576,12 +582,14 @@ class TestCli:
         [["--synthetic-extent", "nan"], ["--synthetic-spacing", "nan"], ["--synthetic-extent", "inf"],
          ["--synthetic-spacing", "inf"], ["--synthetic-profile", "inverse_distance(nan)"],
          ["--synthetic-profile", "inverse_distance(inf)"], ["--config", "z_levels.yaml"],
-         ["--vehicle-length", "nan"], ["--vehicle-width", "inf"], ["--vehicle-height", "nan"]],
+         ["--vehicle-length", "nan"], ["--vehicle-width", "inf"], ["--vehicle-height", "nan"],
+         ["--synthetic-profile", "inverse_distance(4.0, 0.3)", "--synthetic-seed", "-1"]],
     )
     def test_non_finite_synthetic_cloud_exits_2(self, tmp_path, capsys, bad):
         # NaN passed the positivity checks and crashed the grid generator
         # (or, as a profile scale, wrote NaN coverage); inf overflowed it.
-        # A NaN vehicle dimension gave n/a rows and zero coverage.
+        # A NaN vehicle dimension gave n/a rows and zero coverage.  A
+        # negative seed crashed the jitter generator with a traceback.
         (tmp_path / "z_levels.yaml").write_text("synthetic: {z_levels: [1.0, .nan]}\n")
         if bad[0] == "--config":
             bad = ["--config", str(tmp_path / bad[1])]
@@ -611,6 +619,15 @@ class TestCli:
         out = tmp_path / "roi.csv"
         assert cli_main(["gen-roi", "--out", str(out), "--z-levels", levels]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_negative_seed_exits_2_in_gen_roi(self, tmp_path, capsys):
+        # the jitter generator died on the seed with a traceback
+        out = tmp_path / "roi.csv"
+        argv = ["gen-roi", "--out", str(out), "--profile", "inverse_distance(4.0, 0.3)", "--seed", "-1"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_solve_has_no_side_flag(self, tmp_path, capsys):
@@ -699,6 +716,8 @@ class TestCli:
             ("--shots", "0", "shots"),
             ("--vqe-max-evals", "-1", "vqe_max_evals"),
             ("--runs", "0", "num_stochastic_runs"),
+            ("--coverage-weight", "nan", "coverage_weight"),
+            ("--cost-weight", "inf", "cost_weight"),
         ],
     )
     def test_out_of_range_solver_settings_exit_2_before_coverage(
@@ -735,6 +754,7 @@ class TestCli:
             ({"vehicle": {"length": True}}, [], "length"),
             ({"orientations": {"front": ["30"], "back": [0], "left": [0], "right": [0]}}, [], "orientations"),
             ({}, ["--orientations", "0,nan"], "side front"),
+            ({"orientation_mode": "bogus", "orientations": {s.value: [0] for s in Side}}, [], "orientation_mode"),
         ],
     )
     def test_mistyped_config_values_exit_2_before_coverage(

@@ -420,19 +420,20 @@ class TestDriverMatchesOracle:
         _, _, catalog, data = random_instance(rng, num_configs=num_spins)
         energies = basis_energies(model)
         max_evals = 200 if num_spins <= 8 else 30
+        problem = make_problem(data, catalog, None)
         for seed, shared in ((0, None), (1, energies)):
             args = dict(optimizer=OptimizerConfig(max_evals=max_evals), seed=seed, energies=shared)
-            assert_same_run(
-                vqe_ising(model, data, catalog, **args),
-                vqe_ising_loop(model, data, catalog, **args),
-            )
+            assert_same_run(vqe_ising(model, problem, **args), vqe_ising_loop(model, problem, **args))
 
 
 class TestIsingLoop:
     def test_single_spin_drives_to_ground(self):
         model = ising_model(np.array([-1.0]), {}, 0.0)
         _, _, catalog, data = random_instance(np.random.default_rng(0), num_configs=1)
-        run = vqe_ising(model, data, catalog, num_layers=1, optimizer=OptimizerConfig(max_evals=80), seed=0)
+        run = vqe_ising(
+            model, make_problem(data, catalog, None), num_layers=1,
+            optimizer=OptimizerConfig(max_evals=80), seed=0,
+        )
         assert min(value for _, value, _ in run.trace) == pytest.approx(-1.0, abs=1e-6)
         assert run.result.selected == (0,)
         bits = np.zeros(1)
@@ -442,7 +443,7 @@ class TestIsingLoop:
     def test_zero_model_expectation_is_zero(self):
         model = ising_model(np.zeros(3), {}, 0.0)
         _, _, catalog, data = random_instance(np.random.default_rng(1), num_configs=3)
-        run = vqe_ising(model, data, catalog, optimizer=OptimizerConfig(max_evals=30), seed=1)
+        run = vqe_ising(model, make_problem(data, catalog, None), optimizer=OptimizerConfig(max_evals=30), seed=1)
         assert all(abs(e) < 1e-12 for _, e, _ in run.trace)
 
     def test_basis_energies_match_model(self):
@@ -483,7 +484,7 @@ class TestOptimizerBudget:
         optimizer = OptimizerConfig(max_evals=120)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = vqe_ising(model, data, catalog, optimizer=optimizer, seed=0)
+            out = vqe_ising(model, make_problem(data, catalog, None), optimizer=optimizer, seed=0)
         assert out.num_evals <= optimizer.max_evals + 1
         assert len(out.trace) == out.num_evals
 

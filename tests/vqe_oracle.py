@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from sensorplace.errors import InsufficientSupportError
-from sensorplace.fixed_count import evaluate_bits, evaluate_selection, make_problem, objective
+from sensorplace.fixed_count import evaluate_bits, evaluate_selection, objective
 from sensorplace.setcover import enumerate_bits
 from sensorplace.vqe import (
     F_TOL,
@@ -111,12 +111,10 @@ def minimize_expectation(model, num_layers=3, optimizer=OptimizerConfig(), seed=
 
 
 def vqe_ising_loop(
-    model, data, catalog, coverage_weight=1.0, cost_weight=1e-4, num_layers=3,
-    optimizer=OptimizerConfig(), seed=0, energies=None,
+    model, problem, num_layers=3, optimizer=OptimizerConfig(), seed=0, energies=None,
 ) -> VqeRun:
-    if model.num_spins != data.num_configs:
+    if model.num_spins != problem.data.num_configs:
         raise ValueError("one spin per candidate required")
-    problem = make_problem(data, catalog, 1, coverage_weight, cost_weight)
     state, _, trace = minimize_expectation(model, num_layers, optimizer, seed, energies)
     bits = enumerate_bits(np.array([state], dtype=np.int64), model.num_spins)[0]
     result = evaluate_bits(bits, problem, "vqe_ising", seed=seed)
