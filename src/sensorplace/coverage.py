@@ -15,10 +15,19 @@ builds it in memory once per side, and every solver of that side reads
 the same instance; nothing is stored between runs.  The whole-vehicle
 report builds it once more for the selected sensors over the full
 cloud, and once over the cloud's critical points for adherence.
+
+Covered weights are exact.  Each criticality is split without error
+into limbs on a common grid of ``b = 53 - bit_length(n)`` bits for ``n``
+points (Ozaki, Ogita, Oishi & Rump 2012), so any sum of one limb's values
+is exact, in any order and through BLAS too.  Every path adds a covered
+set's limb sums with :func:`limb_total`, in one fixed order, and gets one
+float: with two limbs, as on clouds whose weights span a few binary
+orders, the correctly rounded sum.  The normalizer is the whole cloud's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +42,15 @@ class CoverageData:
     """Precomputed coverage of a candidate set against one cloud.
 
     ``masks`` is the (N, n) boolean candidate-by-point coverage matrix;
-    ``weights`` the per-point criticalities; ``normalizer`` the
-    criticality total used for weighting (the cloud's own total for a
-    side sub-problem, the full-RoI total when re-weighting aggregates).
+    ``weights`` the per-point criticalities and ``limbs`` their (L, n)
+    exact split; ``normalizer`` the cloud total, by :func:`limb_total`.
     """
 
     masks: NDArray[np.bool_]
     singles: NDArray[np.float64]
     overlaps: NDArray[np.float64]
     weights: NDArray[np.float64]
+    limbs: NDArray[np.float64]
     normalizer: float
     configs: tuple[SensorConfig, ...]
 
@@ -69,9 +78,10 @@ def build_coverage(
         raise ConfigError(f"the catalog has no sensor type index {', '.join(map(str, unknown))}")
     if len(cloud) == 0:
         raise EmptyCloudError("cannot build coverage over an empty cloud")
-    normalizer = cloud.total_criticality
-    if normalizer <= 0.0:
+    if not cloud.criticality.any():
         raise EmptyCloudError("cloud has zero total criticality")
+    limbs = split_limbs(cloud.criticality)
+    normalizer = float(limb_total(limbs.sum(axis=1)))
 
     n_cfg = len(configs)
     masks = np.zeros((n_cfg, len(cloud)), dtype=bool)
@@ -88,9 +98,33 @@ def build_coverage(
         singles=singles,
         overlaps=overlaps,
         weights=cloud.criticality.copy(),
+        limbs=limbs,
         normalizer=normalizer,
         configs=tuple(configs),
     )
+
+
+def split_limbs(weights: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Rows adding up to finite weights in [0, 1], not all zero: row ``l``
+    holds multiples of ``2**(e - (l + 1) * b)`` below ``2**(e - l * b)``."""
+    bits = 53 - len(weights).bit_length()
+    top = math.frexp(float(weights.max()))[1]
+    limbs, rest = [], weights
+    while rest.any():
+        # every float is a multiple of the smallest subnormal: no finer unit is needed
+        low = np.fmod(rest, max(math.ldexp(1.0, top - (len(limbs) + 1) * bits), math.ulp(0.0)))
+        limbs.append(rest - low)
+        rest = low
+    return np.array(limbs)
+
+
+def limb_total(sums):
+    """Sum per-limb values along the last axis, smallest limb first: the
+    one order every covered-weight path uses."""
+    total = sums[..., -1]
+    for l in range(sums.shape[-1] - 2, -1, -1):
+        total = sums[..., l] + total
+    return total
 
 
 def union_mask(selection, data: CoverageData) -> NDArray[np.bool_]:
@@ -105,5 +139,5 @@ def exact_union_coverage(selection, data: CoverageData) -> float:
     quadratic singles-minus-overlaps expression only lower-bounds it.
     """
     mask = union_mask(selection, data)
-    return float(data.weights[mask].sum() / data.normalizer)
+    return float(limb_total(data.limbs[:, mask].sum(axis=1)) / data.normalizer)
 

@@ -11,12 +11,10 @@ directly from the precomputed masks.
 `solve_exhaustive` is the desk-scale exact reference; `solve_greedy` is
 the scalable baseline.  Both are deterministic, including tie-breaks.
 
-The exact search runs in two stages.  A screen walks the
-position-feasible ``(k - 1)``-prefixes in blocks, builds each block's
-union masks once and scores every legal last candidate with one matrix
-product.  Only tuples whose screened objective lies within a proven
-rounding bound of the best screened value are confirmed with
-:func:`objective`, which alone decides the winner.
+The exact search scores blocks of tuples with matrix products over
+exact limb sums (:mod:`sensorplace.coverage`) and adds costs in
+:func:`objective`'s order, so every screened value is the tuple's
+objective bit for bit and the first lexicographic minimum wins.
 """
 
 from __future__ import annotations
@@ -27,9 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .coverage import CoverageData, exact_union_coverage
+from .coverage import CoverageData, exact_union_coverage, limb_total
 from .errors import BudgetExceededError, InfeasibleError, SensorPlaceError
-from .geometry import SensorConfig
+from .geometry import SensorConfig, config_costs
 
 DEFAULT_COVERAGE_WEIGHT = 1.0
 DEFAULT_COST_WEIGHT = 1e-4
@@ -107,8 +105,6 @@ def make_problem(
     coverage_weight: float = DEFAULT_COVERAGE_WEIGHT,
     cost_weight: float = DEFAULT_COST_WEIGHT,
 ) -> FixedCountProblem:
-    from .geometry import config_costs
-
     groups, position_of = position_index_map(data.configs)
     return FixedCountProblem(
         data=data,
@@ -121,9 +117,15 @@ def make_problem(
     )
 
 
+def sensor_count(problem: FixedCountProblem) -> int:
+    if problem.num_sensors is None:
+        raise ValueError("this solver needs a fixed sensor count, the problem's is free")
+    return problem.num_sensors
+
+
 def selection_cost(selection, problem: FixedCountProblem) -> float:
-    idx = list(selection)
-    return float(problem.costs[idx].sum()) if idx else 0.0
+    """Total cost, added one candidate at a time in index order."""
+    return float(sum((problem.costs[i] for i in sorted(selection)), 0.0))
 
 
 def objective(selection, problem: FixedCountProblem) -> float:
@@ -200,92 +202,58 @@ def solve_exhaustive(
     problem: FixedCountProblem,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> SelectionResult:
-    """Global optimum over every feasible selection.
+    """Global optimum over every feasible selection, ties to the
+    lexicographically smallest index tuple.  Raises
+    :class:`BudgetExceededError` when ``C(N, num_sensors)`` exceeds ``budget``.
 
-    Ties in the objective break toward the lexicographically smallest
-    index tuple.  Raises :class:`BudgetExceededError` when the candidate
-    count ``C(N, num_sensors)`` exceeds ``budget``.
-
-    **Screen.**  The position-feasible ``(k - 1)``-prefixes are walked
-    lazily in blocks (:func:`_feasible_blocks`).  For a block with union
-    masks ``C`` every last candidate ``j`` is scored at once: the covered
-    weight is ``sum(w[C]) + ((~C) * w) @ masks.T`` and the cost the
-    prefix cost plus ``costs[j]``.  A last index not above the prefix's
-    last one, or at a position the prefix uses, is masked out.  Points
-    that every candidate covers alike are merged first (their weights
-    summed), which changes no covered weight but shrinks the product.
-    A block holds ``rows`` prefixes with ``rows * (points + N)`` at most
-    ``_SCREEN_BUDGET``, so its float buffers stay near 256 KB and memory
-    stays flat whatever the size of the search.
-
-    **Confirm.**  The screened value differs from :func:`objective` only
-    by rounding.  Both sum non-negative terms: at most ``n`` criticalities
-    (``n`` points, merged or split into partial sums along the way) and
-    ``k`` costs.  A float sum of ``m`` non-negative terms in any order or
-    grouping is within ``gamma_m = m u / (1 - m u)`` (``u = eps / 2``) of
-    its exact value relative to the exact sum, and products by 0/1 masks
-    are exact.  The division by the normalizer, the two weight products
-    and the final addition cost at most four more roundings, so each of
-    the two values lies within ``gamma_{n + k + 4} * (w_cov * cov +
-    w_cost * cost)`` of the exact objective.  With ``gamma_m <= 2 m u =
-    m eps`` (``m u <= 1/2``), ``cov <= sum(w) / normalizer`` and ``cost
-    <= sum(costs)`` they differ by at most ``2 (n + k + 4) eps (w_cov
-    sum(w) / normalizer + w_cost sum(costs))``; ``tau`` is twice that,
-    which also absorbs the rounding of ``tau`` itself and of the
-    threshold below.
-
-    A tuple whose screened value exceeds the best screened value by more
-    than ``2 tau`` has an objective above that best tuple's, so it cannot
-    win.  Every tuple within ``2 tau`` of the running screened minimum (a
-    superset, since the minimum only falls) is scored with
-    :func:`objective` as it streams past, and only the exact incumbent is
-    held.  The winner is therefore the enumerator's: the lowest
-    objective, ties to the smallest tuple, and memory stays flat even
-    when every tuple ties.
+    The position-feasible ``(k - 1)``-prefixes are walked lazily in
+    blocks (:func:`_feasible_blocks`).  For a block with uncovered points
+    ``U`` every last candidate ``j`` is scored at once: limb ``l`` of the
+    covered weight is ``sum(limbs[l]) - U @ (~masks[j] * limbs[l])``, and
+    the cost the prefix cost plus ``costs[j]``; illegal tuples are masked
+    out.  Points that every candidate covers alike are merged first (their
+    limbs summed), which shrinks the product.  A block holds ``rows``
+    prefixes with ``rows * (points + limbs * N)`` at most ``_SCREEN_BUDGET``,
+    so memory stays flat whatever the size of the search.
     """
     data = problem.data
     n = data.num_configs
-    k = problem.num_sensors
+    k = sensor_count(problem)
     count = math.comb(n, k)
     if count > budget:
         raise BudgetExceededError(count, budget)
 
     costs, position_of = problem.costs, problem.position_of
     cov_w, cost_w = problem.coverage_weight, problem.cost_weight
-    tau = 4 * (data.num_points + k + 4) * np.finfo(float).eps * (
-        cov_w * float(data.weights.sum()) / data.normalizer + cost_w * float(costs.sum())
-    )
     # one byte string per point column, so equal columns merge in one sort
     packed = np.ascontiguousarray(np.packbits(data.masks, axis=0).T)
     _, first, group = np.unique(
         packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True, return_inverse=True
     )
     masks = data.masks[:, first]
-    weights = np.bincount(group, weights=data.weights, minlength=len(first))
-    mask_f = masks.astype(float)
-    rows = max(1, _SCREEN_BUDGET // (masks.shape[1] + n))
+    limbs = np.array([np.bincount(group, weights=limb, minlength=len(first)) for limb in data.limbs])
+    # (N, L, points): the limbs each candidate misses, sliceable by candidate
+    missed = ~masks[:, None, :] * limbs
+    rows = max(1, _SCREEN_BUDGET // (masks.shape[1] + len(limbs) * n))
 
-    floor = math.inf
-    best_obj = None
+    best_obj = math.inf
     best_sel = None
     for prefixes in _feasible_blocks(position_of, k - 1, rows):
-        covered = masks[prefixes].any(axis=1)
-        held = np.where(covered, weights, 0.0).sum(axis=1)
-        gains = np.where(covered, 0.0, weights) @ mask_f.T
-        screened = -cov_w * ((held[:, None] + gains) / data.normalizer) + cost_w * (
-            costs[prefixes].sum(axis=1)[:, None] + costs
-        )
-        screened[~_legal_next(prefixes, position_of)] = math.inf
-        floor = min(floor, float(screened.min()))
-        if floor == math.inf:
-            continue
-        for r, c in zip(*np.nonzero(screened <= floor + 2 * tau)):
-            sel = (*prefixes[r].tolist(), int(c))
-            obj = objective(sel, problem)
-            # tuples stream in lexicographic order: the first of equal objectives is the smallest
-            if best_obj is None or obj < best_obj:
-                best_obj = obj
-                best_sel = sel
+        # no candidate below a prefix's last index may follow it
+        lo = int(prefixes.max(axis=1, initial=0).min())
+        uncovered = (~masks[prefixes].any(axis=1)).astype(float)
+        both_missed = uncovered @ missed[lo:].reshape(-1, masks.shape[1]).T
+        weight = limb_total(limbs.sum(axis=1) - both_missed.reshape(len(prefixes), n - lo, len(limbs)))
+        prefix_cost = np.zeros(len(prefixes))
+        for col in prefixes.T:
+            prefix_cost = prefix_cost + costs[col]
+        screened = -cov_w * (weight / data.normalizer) + cost_w * (prefix_cost[:, None] + costs[lo:])
+        screened[~_legal_next(prefixes, position_of)[:, lo:]] = math.inf
+        # row-major order is lexicographic order: argmin keeps the block's smallest tuple
+        r, c = divmod(int(np.argmin(screened)), n - lo)
+        if screened[r, c] < best_obj:
+            best_obj = screened[r, c]
+            best_sel = (*prefixes[r].tolist(), lo + c)
     if best_sel is None:
         raise InfeasibleError(f"no feasible selection of {k} sensors over {len(problem.position_groups)} positions")
     return evaluate_selection(best_sel, problem, solver_tag="exhaustive")
@@ -303,7 +271,7 @@ def solve_greedy(problem: FixedCountProblem) -> SelectionResult:
     selected: list[int] = []
     blocked = np.zeros(data.num_configs, dtype=bool)
     covered = np.zeros(data.num_points, dtype=bool)
-    for _ in range(problem.num_sensors):
+    for _ in range(sensor_count(problem)):
         remaining = data.weights * ~covered
         gains = mask_f @ remaining / data.normalizer
         delta = -problem.coverage_weight * gains + problem.cost_weight * problem.costs

@@ -180,7 +180,7 @@ class RoiCloud:
             raise ValueError("points must be an (n, 3) array")
         if crit.shape != (pts.shape[0],):
             raise ValueError("criticality must be an (n,) array")
-        if crit.size and (crit.min() < 0.0 or crit.max() > 1.0):
+        if not ((crit >= 0.0) & (crit <= 1.0)).all():
             raise ValueError("criticality values must lie in [0, 1]")
         pts.flags.writeable = False
         crit.flags.writeable = False

@@ -51,6 +51,7 @@ from .fixed_count import (
     evaluate_bits,
     evaluate_selection,
     objective as selection_objective,
+    sensor_count,
 )
 from .setcover import IsingModel, enumerate_bits
 
@@ -396,6 +397,7 @@ def vqe_fixed_count(
     returned selection is the best ever encountered, evaluated even for
     a zero-evaluation budget (at the initial angles).
     """
+    num_sensors = sensor_count(problem)
     if encoding.num_configs != problem.data.num_configs:
         raise ValueError(
             f"encoding addresses {encoding.num_configs} candidates, "
@@ -406,7 +408,7 @@ def vqe_fixed_count(
     def measure(state, rng):
         histogram = sample_histogram(state, shots, rng)
         try:
-            selection = select_feasible_topk(histogram, encoding, problem.num_sensors, problem.position_of)
+            selection = select_feasible_topk(histogram, encoding, num_sensors, problem.position_of)
         except InsufficientSupportError:
             return penalty, None, math.inf
         value = selection_objective(selection, problem)

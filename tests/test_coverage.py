@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sensorplace.coverage import build_coverage, exact_union_coverage
+from sensorplace.coverage import build_coverage, exact_union_coverage, limb_total, split_limbs
 from sensorplace.errors import EmptyCloudError
 from sensorplace.geometry import RoiCloud, SensorConfig, SensorSpec, Side, fov_contains
 from sensorplace.setcover import approx_coverage
@@ -108,6 +108,11 @@ class TestBuildCoverage:
         with pytest.raises(EmptyCloudError):
             build_coverage(zero_crit, [], catalog)
 
+    def test_nan_criticality_rejected(self):
+        # NaN passed the [0, 1] range check, and no limb split of it ends
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            RoiCloud(np.zeros((2, 3)), np.array([0.5, np.nan]))
+
 
 class TestExactUnionCoverage:
     def test_empty_selection(self):
@@ -127,6 +132,24 @@ class TestExactUnionCoverage:
             cloud, configs, catalog, data = random_instance(rng, num_points=120, num_configs=8)
             sel = sorted(rng.choice(8, size=3, replace=False).tolist())
             assert exact_union_coverage(sel, data) == brute_force_union(sel, cloud, configs, catalog)
+
+    def test_point_order_leaves_every_sum_bit_identical(self):
+        # numpy's pairwise sum of float weights depends on the point order
+        rng = np.random.default_rng(15)
+        cloud, configs, catalog, data = random_instance(rng, num_points=500, num_configs=10, exact=False)
+        perm = rng.permutation(len(cloud))
+        shuffled = build_coverage(RoiCloud(cloud.points[perm], cloud.criticality[perm]), configs, catalog)
+        assert shuffled.normalizer == data.normalizer
+        for _ in range(200):
+            sel = rng.choice(10, size=int(rng.integers(1, 6)), replace=False).tolist()
+            assert exact_union_coverage(sel, shuffled) == exact_union_coverage(sel, data)
+
+    def test_limbs_rebuild_the_weights_exactly(self):
+        weights = np.append(np.geomspace(1.0, 1e-300, 99), [0.0, 5e-324])
+        limbs = split_limbs(weights)
+        assert len(limbs) > 2
+        assert np.array_equal(limb_total(limbs.T), weights)
+        assert len(split_limbs(np.random.default_rng(16).uniform(0.2, 0.95, 1000))) == 2
 
     def test_monotone_under_growth(self):
         rng = np.random.default_rng(14)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import itertools
 import math
@@ -34,6 +35,7 @@ from sensorplace.geometry import (
     partition_roi,
 )
 from sensorplace.roi import SyntheticRoiSpec, generate_synthetic_roi
+from sensorplace.vqe import EncodingMap, OptimizerConfig, vqe_fixed_count
 
 from conftest import TWO_TYPE_CATALOG, random_instance, side_instance
 from fixed_count_oracle import solve_enumerate
@@ -203,6 +205,16 @@ def oracle_instances():
     cloud, configs, catalog, _ = side_instance(rng, TWO_TYPE_CATALOG, grid=(3, 2), orientations=free)
     zeroed = RoiCloud(cloud.points, np.where(rng.random(len(cloud)) < 0.5, 0.0, cloud.criticality))
     cases.append(("zero-criticality points", catalog, build_coverage(zeroed, configs, catalog), {}))
+    # 1 down to 1e-300 and the smallest subnormal: far more than two limbs
+    cloud, configs, catalog, _ = side_instance(rng, grid=(2, 2), orientations=free)
+    spread = np.append(np.geomspace(1.0, 1e-300, len(cloud) - 1), math.ulp(0.0))[rng.permutation(len(cloud))]
+    cases.append(("wide-span criticalities", catalog, build_coverage(RoiCloud(cloud.points, spread), configs, catalog), {}))
+    catalog = tuple(dataclasses.replace(spec, cost=c) for spec, c in zip(DEFAULT_CATALOG, (0.1, 0.7, 0.3, 0.2)))
+    cases.append(("non-integer costs", catalog, side_instance(rng, catalog, grid=(3, 2), exact=False)[3], {"cost_weight": 0.05}))
+    # at k = 4, (0, 2, 3, 4) and (2, 3, 4, 5) both cost 1.7, but only in index order
+    # do they sum to the same float; any other order picks the second
+    _, _, catalog, data = disjoint_instance(6, costs=[0.7, 0.7, 0.1, 0.3, 0.6, 0.7])
+    cases.append(("cost ties by summation order", catalog, data, {"coverage_weight": 0.0, "cost_weight": 1.0}))
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 
@@ -214,21 +226,42 @@ class TestMatchesEnumeratorOracle:
             p = make_problem(data, catalog, num_sensors=k, **weights)
             assert solve_exhaustive(p) == solve_enumerate(p), (name, k)
 
-    def test_default_cloud_left_side_keeps_the_ulp_tie_winner(self, monkeypatch):
-        # (34, 42, 46) and (34, 38, 46) differ by 1.1e-16 in the objective
+    def test_default_cloud_left_side_keeps_the_ulp_tie_winner(self):
+        # (34, 38, 46) and (34, 42, 46) cover equal weight at equal cost; summed
+        # in numpy's order they differed by 1.1e-16, and the exact sums tie
         vehicle = VehicleModel()
         cloud = partition_roi(generate_synthetic_roi(SyntheticRoiSpec(), vehicle), vehicle)
         configs = enumerate_configs(DEFAULT_CATALOG, vehicle, PlacementGrid(Side.LEFT, 4, 4, (0.0,)))
         data = build_coverage(cloud.side_cloud(Side.LEFT), configs, DEFAULT_CATALOG)
         problem = make_problem(data, DEFAULT_CATALOG, num_sensors=3)
+        assert objective((34, 38, 46), problem) == objective((34, 42, 46), problem) == -0.6425888814585838
         expected = solve_enumerate(problem)
-        assert expected.selected == (34, 42, 46)
-        calls = []
-        exact = fixed_count.objective
-        monkeypatch.setattr(fixed_count, "objective", lambda sel, p: calls.append(sel) or exact(sel, p))
+        assert expected.selected == (34, 38, 46)
         assert solve_exhaustive(problem) == expected
-        # confirmation goes through the module's objective, for a small share of the tuples
-        assert (34, 42, 46) in calls and len(calls) < 35840 // 100
+
+    def test_default_cloud_front_and_back_mirror_each_other(self):
+        # the default cloud is symmetric under x -> -x, which maps each front
+        # candidate onto the back candidate of its type at the mirrored position
+        vehicle = VehicleModel()
+        cloud = partition_roi(generate_synthetic_roi(SyntheticRoiSpec(), vehicle), vehicle)
+        problems = {}
+        for side in (Side.FRONT, Side.BACK):
+            configs = enumerate_configs(DEFAULT_CATALOG, vehicle, PlacementGrid(side, 4, 4, (0.0,)))
+            problems[side] = make_problem(build_coverage(cloud.side_cloud(side), configs, DEFAULT_CATALOG), DEFAULT_CATALOG, 1)
+        front_configs = problems[Side.FRONT].data.configs
+        mirror = [
+            next(j for j, b in enumerate(problems[Side.BACK].data.configs)
+                 if b.type_index == f.type_index and np.allclose(b.position, (-f.position[0], *f.position[1:])))
+            for f in front_configs
+        ]
+        for k in range(1, 5):
+            front, back = (solve_exhaustive(dataclasses.replace(problems[s], num_sensors=k)) for s in (Side.FRONT, Side.BACK))
+            assert (front.coverage, front.objective) == (back.coverage, back.objective), k
+            # each side's winner, mirrored, is an optimum of the other side
+            back_problem = dataclasses.replace(problems[Side.BACK], num_sensors=k)
+            assert objective([mirror[i] for i in front.selected], back_problem) == back.objective, k
+            front_problem = dataclasses.replace(problems[Side.FRONT], num_sensors=k)
+            assert objective([mirror.index(j) for j in back.selected], front_problem) == front.objective, k
 
     def test_budget_rule_matches(self):
         rng = np.random.default_rng(1401)
@@ -313,6 +346,18 @@ class TestSolveGreedy:
         _, _, catalog, data = disjoint_instance(3)
         with pytest.raises(ValueError, match="weights"):
             make_problem(data, catalog, count, *weights)
+
+
+def _vqe_fixed_count(problem):
+    return vqe_fixed_count(problem, EncodingMap(2, 2, len(DEFAULT_CATALOG), 1), optimizer=OptimizerConfig(max_evals=5))
+
+
+@pytest.mark.parametrize("solve", [solve_exhaustive, solve_greedy, _vqe_fixed_count], ids=["exhaustive", "greedy", "vqe"])
+def test_fixed_count_solvers_reject_a_free_count(solve):
+    # exhaustive and greedy died in math.comb/range, and the VQE spent its budget on penalties
+    _, _, catalog, data = side_instance(np.random.default_rng(15), grid=(2, 2))
+    with pytest.raises(ValueError, match="fixed sensor count"):
+        solve(make_problem(data, catalog, None))
 
 
 class TestSweep:
