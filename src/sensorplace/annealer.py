@@ -9,16 +9,37 @@ spin) order, so the sample set does not depend on how the reads are
 batched or how its draws are blocked.
 
 All reads advance together.  Spins are stored spin-major, as an
-``(n, reads)`` array, so the field on spin ``i`` for every read is one
-product of the contiguous row ``J[i]`` of the dense symmetric coupling
-matrix with the spin array, plus ``h[i]``.  Uniforms are drawn one block
-of sweeps at a time into a reused ``(reads, block, n)`` buffer and
-transposed once per block into an ``(block, n, reads)`` tape, so each
+``(n, reads)`` array.  Uniforms are drawn one block of sweeps at a time
+into a reused ``(reads, block, n)`` buffer and transposed once per block,
+a few reads at a time, into an ``(block, n, reads)`` tape, so each
 proposal reads one contiguous row.  A block is as many sweeps as fit in
 ``_TAPE_BUDGET`` doubles (8 MB) per buffer, and at least one, so the
 number of sweeps does not change the memory used; past ``2**20 / n``
 reads each buffer holds one sweep of every read.  The spin array and one
 generator per read also grow with the number of reads.
+
+A sweep only does sequential work where spins interact:
+
+- the coupled core, the spins with a nonzero row of ``J``, is stepped in
+  index order.  The field on a core spin for every read is one product
+  of its contiguous row of the dense symmetric coupling matrix with the
+  whole spin array, plus its ``h``; both are prescaled by the exact
+  factor -2, each sweep scales the spins by -beta once, and accepted
+  flips are applied by sign, not through a mask.  The product keeps its
+  full width: dropping the zero columns of the uncoupled spins would
+  change how BLAS groups the sum, and with it the last bits of fields;
+- an uncoupled spin's field is its own ``h``, and no other spin sees it,
+  so all of them are decided in one vectorised step per sweep;
+- after a sweep in which no core spin flipped in any read, the next one
+  first computes every core row's field with that same row product and
+  decides them all at once.  Until the first flip every field is the one
+  the sequential sweep computes, so when nothing is accepted the sweep
+  is done, and otherwise it goes on sequentially from the first row
+  that flips.
+
+So every accept decision is the one a plain sequential scan of every
+spin makes, bit for bit.  The sweep's scratch rows reuse the drawn
+buffer, which is free once its block is on the tape.
 
 Results are returned as a :class:`SampleSet`: unique assignments (as
 bits under the x = (1+z)/2 convention), their model energies and their
@@ -54,8 +75,10 @@ class AnnealSchedule:
     def __post_init__(self):
         if self.num_reads < 1 or self.sweeps_per_read < 1:
             raise ValueError("num_reads and sweeps_per_read must be >= 1")
-        if not 0.0 < self.beta_start < self.beta_end:
-            raise ValueError("need 0 < beta_start < beta_end")
+        # a finite ratio keeps every beta of the ramp finite: at beta = inf
+        # a zero energy change gives 0 * inf = NaN, which rejects the move
+        if not (0.0 < self.beta_start < self.beta_end and math.isfinite(self.beta_end / self.beta_start)):
+            raise ValueError("need finite 0 < beta_start < beta_end")
 
     def betas(self) -> NDArray[np.float64]:
         k = self.sweeps_per_read
@@ -107,7 +130,10 @@ def suggest_beta_range(model: IsingModel) -> tuple[float, float]:
     models mix O(1) overlap terms with O(1e-3) cost terms, which such a
     ramp cannot freeze out.  The hot end accepts the worst possible move
     with probability 1/2; the cold end accepts the smallest resolvable
-    move with probability 1/100.
+    move with probability 1/100, unless that beta, or its ratio to the
+    hot end, would overflow: then the cold end is 100 times the hot end.
+    A model whose terms are all too small to resolve at any finite beta
+    gets the generic range, as an empty one does.
     """
     magnitudes = np.abs(model.J)
     fields = np.abs(model.h).astype(float)
@@ -118,10 +144,13 @@ def suggest_beta_range(model: IsingModel) -> tuple[float, float]:
     max_delta = 2.0 * float(fields.max()) if fields.size else 0.0
     if max_delta == 0.0 or not scales.size:
         return 0.1, 10.0
-    min_delta = 2.0 * float(scales.min())
+    if not math.isfinite(max_delta):
+        raise ValueError("model coefficients overflow: no beta range resolves them")
     hot = math.log(2.0) / max_delta
-    cold = math.log(100.0) / min_delta
-    if cold <= hot:
+    if not math.isfinite(hot * 100.0):
+        return 0.1, 10.0
+    cold = math.log(100.0) / (2.0 * float(scales.min()))
+    if not (cold > hot and math.isfinite(cold / hot)):
         cold = hot * 100.0
     return hot, cold
 
@@ -153,7 +182,6 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
     n = model.num_spins
     if n == 0:
         raise ValueError("model must have at least one spin")
-    J, h = model.J, model.h
     betas = schedule.betas()
     reads, sweeps = schedule.num_reads, schedule.sweeps_per_read
 
@@ -162,32 +190,58 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
     for r, rng in enumerate(rngs):
         spins[:, r] = rng.integers(0, 2, n) * 2.0 - 1.0
 
+    coupled = model.J.any(axis=1)
+    core, loose = np.flatnonzero(coupled), np.flatnonzero(~coupled)
+    m = len(core)
+    # scaling by -2 is exact, so (-2 J_i) s + (-2 h_i) has the bits of -2 (J_i s + h_i)
+    J = model.J * -2.0
+    h = model.h * -2.0
+    h_core, h_loose = h[core, None], h[loose, None]
+    rows = [(spins[i], J[i], float(h[i]), i) for i in core]
+    loose_spins = spins[loose]
+
     block = max(1, min(sweeps, _TAPE_BUDGET // (reads * n)))
     drawn = _mapped_buffer((reads, block, n))
     tape = _mapped_buffer((block, n, reads))
+    # a sweep's scratch rows: -beta * s at its start, the spins before its
+    # coupled steps, and the core's rows, then the uncoupled spins' rows,
+    # of fields, uniforms and -beta * s
+    scratch = drawn.reshape(-1)
+    if scratch.size < 5 * n * reads:
+        scratch = np.empty(5 * n * reads)
+    scaled, before, fields, uniform_rows, scaled_rows = scratch[: 5 * n * reads].reshape(5, n, reads)
+    flips = np.empty((m, reads), dtype=bool)
     local = np.empty(reads)
-    work = np.empty(reads)
-    accept = np.empty(reads, dtype=bool)
-    for first in range(0, sweeps, block):
-        size = min(block, sweeps - first)
-        for r, rng in enumerate(rngs):
-            rng.random(out=drawn[r, :size])
-        tape[:size] = drawn[:, :size].transpose(1, 2, 0)
-        for k in range(size):
-            neg_beta = -betas[first + k]
-            for i in range(n):
-                # accept iff u < exp(-beta * max(-2 * s_i * local_i, 0));
-                # (s * local) * -2 has the same bits as (-2 * s) * local
-                s = spins[i]
-                np.matmul(J[i], spins, out=local)
-                local += h[i]
-                np.multiply(s, local, out=work)
-                work *= -2.0
-                np.maximum(work, 0.0, out=work)
-                work *= neg_beta
-                np.exp(work, out=work)
-                np.less(tape[k, i], work, out=accept)
-                np.negative(s, out=s, where=accept)
+    frozen = False  # no coupled spin flipped in the previous sweep
+    with np.errstate(over="ignore"):  # a steep downhill move may overflow to inf
+        for first in range(0, sweeps, block):
+            size = min(block, sweeps - first)
+            for r, rng in enumerate(rngs):
+                rng.random(out=drawn[r, :size])
+            # 32 reads at a time: each source row stays in cache while it is spread
+            for r in range(0, reads, 32):
+                tape[:size, :, r : r + 32] = drawn[r : r + 32, :size].transpose(1, 2, 0)
+            for k in range(size):
+                # a spin changes only at its own step, so its row still
+                # holds -beta * s_i when the sweep reaches it
+                np.multiply(spins, -betas[first + k], out=scaled)
+                uniforms = tape[k]
+                if len(loose):
+                    spins[loose] = _uncoupled_step(
+                        loose_spins, h_loose, _rows(scaled, loose, fields[m:]),
+                        _rows(uniforms, loose, uniform_rows[m:]),
+                    )
+                if frozen:
+                    start = _frozen_pass(
+                        rows, spins, h_core, _rows(scaled, core, scaled_rows[:m]),
+                        _rows(uniforms, core, uniform_rows[:m]), fields[:m], flips,
+                    )
+                    frozen = start == m
+                    _coupled_sweep(rows[start:], spins, scaled, uniforms, local)
+                else:
+                    np.copyto(before, spins)
+                    _coupled_sweep(rows, spins, scaled, uniforms, local)
+                    frozen = np.array_equal(spins, before)
     all_bits = (spins.T > 0.0).astype(np.uint8)
 
     unique, counts = np.unique(all_bits, axis=0, return_counts=True)
@@ -198,6 +252,64 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
         energies=energies[order],
         multiplicities=counts[order].astype(np.int64),
     )
+
+
+# Every step below takes the prescaled field f = -2 (J_i s + h_i) and
+# accepts a flip iff u < exp(f * (-beta * s_i)), which has the bits of
+# exp(-beta * max(-2 s_i (J_i s + h_i), 0)) for an uphill move: the
+# products by s_i = +-1 and by -2 are exact.  A downhill move has
+# f * (-beta * s_i) >= 0, so exp >= 1 > u and it needs no clamp at 0.
+
+
+def _coupled_sweep(rows, spins, scaled, uniforms, work) -> None:
+    """Step coupled spins in index order; each sees every earlier flip."""
+    for s, J_row, h_i, i in rows:
+        np.matmul(J_row, spins, out=work)
+        work += h_i
+        work *= scaled[i]
+        np.exp(work, out=work)
+        _flip_accepted(s, uniforms[i], work)
+
+
+def _uncoupled_step(spins, h, scaled, uniforms):
+    """Step every uncoupled spin at once, each in its field ``h``."""
+    work = np.multiply(scaled, h, out=scaled)
+    np.exp(work, out=work)
+    return _flip_accepted(spins, uniforms, work)
+
+
+def _flip_accepted(s, u, e):
+    """Negate ``s`` where ``u < e``, overwriting ``e``.
+
+    The rounded ``u - e`` has the sign of the exact difference, and is
+    +0 when they are equal, so ``s * (u - e)`` has the sign of the new
+    spin; this is cheaper than a masked negation.
+    """
+    np.subtract(u, e, out=e)
+    e *= s
+    return np.copysign(s, e, out=s)
+
+
+def _rows(a, index, out):
+    """Rows ``index`` of ``a`` gathered into ``out`` (unbuffered: ``index`` is in range)."""
+    return np.take(a, index, axis=0, out=out, mode="clip")
+
+
+def _frozen_pass(rows, spins, h, scaled, uniforms, field, accept) -> int:
+    """The first coupled row that any read flips in this sweep, or ``len(rows)``.
+
+    Until a spin flips, every row's field is the one the sequential
+    sweep computes, by the same row product, so the decisions up to and
+    including the first flip are the sequential sweep's own.
+    """
+    for (_, J_row, _, _), out in zip(rows, field):
+        np.matmul(J_row, spins, out=out)
+    field += h
+    field *= scaled
+    np.exp(field, out=field)
+    np.less(uniforms, field, out=accept)
+    flipped = accept.any(axis=1)
+    return int(flipped.argmax()) if flipped.any() else len(rows)
 
 
 def best_selection(

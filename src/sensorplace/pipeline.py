@@ -125,7 +125,8 @@ class RunConfig:
 
 def validate_inputs(config: RunConfig) -> None:
     """Reject mistyped values, invalid pairings, oversized synthetic grids,
-    placement grids, orientation sets and solver settings before any compute."""
+    placement grids, orientation sets, solver settings and weights that
+    could overflow a side's model, before any compute."""
     hints = get_type_hints(RunConfig)
     for f in fields(RunConfig):
         value, hint = getattr(config, f.name), hints[f.name]
@@ -176,6 +177,19 @@ def validate_inputs(config: RunConfig) -> None:
         angles = config.side_orientations(side)
         if not angles or not np.isfinite(angles).all():
             raise ConfigError(f"side {side.value} needs nonempty finite orientations, got {angles!r}")
+    # every coefficient, energy and partial sum of a side's model over N
+    # candidates is at most 2 N (N coverage_weight + max_cost cost_weight);
+    # a quarter of the float range leaves room for the annealer's factor 2
+    catalog = _resolve_catalog(config)
+    h, v = config.grid
+    candidates = h * v * len(catalog) * max(len(config.side_orientations(s)) for s in SIDE_ORDER)
+    max_cost = max(spec.cost for spec in catalog)
+    if not candidates * (candidates * config.coverage_weight + max_cost * config.cost_weight) \
+            <= np.finfo(float).max / 4:
+        raise ConfigError(
+            f"coverage_weight={config.coverage_weight!r} and cost_weight={config.cost_weight!r} "
+            f"would overflow a model of {candidates} candidates costing up to {max_cost:g}"
+        )
 
 
 def validate_config(config: RunConfig) -> None:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from sensorplace import annealer
 from sensorplace.annealer import (
     AnnealSchedule,
     anneal,
@@ -15,7 +18,7 @@ from sensorplace.annealer import (
 )
 from sensorplace.fixed_count import make_problem
 from sensorplace.geometry import Side
-from sensorplace.setcover import build_iqp, solve_exhaustive_qubo, to_ising
+from sensorplace.setcover import IsingModel, build_iqp, solve_exhaustive_qubo, to_ising
 
 from annealer_oracle import anneal_read_major
 from conftest import TWO_TYPE_CATALOG, ising_model, side_instance
@@ -120,6 +123,37 @@ class TestDeterminismAndBookkeeping:
         with pytest.raises(ValueError):
             AnnealSchedule(beta_start=0.0)
 
+    @pytest.mark.parametrize("beta_start, beta_end", [(0.1, math.inf), (0.1, math.nan), (1e-300, 1e300)])
+    def test_schedule_rejects_a_ramp_with_an_infinite_beta(self, beta_start, beta_end):
+        # beta_start * (beta_end / beta_start) ** t is inf past the first
+        # sweep in all three, and at beta = inf a zero move is 0 * inf = NaN
+        with pytest.raises(ValueError, match="finite"):
+            AnnealSchedule(beta_start=beta_start, beta_end=beta_end)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            [1.0, 5e-324],   # log(100) / (2 * 5e-324) overflows
+            [1e300, 1e-10],  # the cold end is finite, its ratio to the hot end is not
+        ],
+    )
+    def test_scaled_beta_range_falls_back_to_a_finite_cold_end(self, h):
+        model = ising_model(np.array(h), {}, 0.0)
+        hot, cold = suggest_beta_range(model)
+        assert hot == math.log(2.0) / (2.0 * h[0]) and cold == hot * 100.0
+        # at the finite cold end the uphill spin 0 relaxes in every read
+        samples = anneal(model, scaled_schedule(model, num_reads=20, sweeps_per_read=50, seed=1))
+        assert samples.assignments[:, 0].tolist() == [0] * len(samples)
+
+    def test_scaled_beta_range_falls_back_when_no_term_is_resolvable(self):
+        # the hot end log(2) / 2e-310 itself overflows
+        assert suggest_beta_range(ising_model(np.array([1e-310, 0.0]), {}, 0.0)) == (0.1, 10.0)
+
+    def test_scaled_beta_range_rejects_an_overflowed_model(self):
+        model = ising_model(np.array([math.inf, 0.0]), {(0, 1): 1.0}, 0.0)
+        with pytest.raises(ValueError, match="overflow"):
+            suggest_beta_range(model)
+
     def test_scaled_beta_range_resolves_small_terms(self):
         # mixed scales: an O(1) coupling next to an O(1e-3) field
         model = ising_model(np.array([0.002, 0.0]), {(0, 1): 1.0}, 0.0)
@@ -208,6 +242,52 @@ class TestMatchesReadMajorOracle:
         schedule = quick_schedule(seed=6, reads=25, sweeps=23)
         monkeypatch.setattr("sensorplace.annealer._TAPE_BUDGET", 7 * 25 * 11)
         self.assert_same(model, schedule)
+
+    def test_uncoupled_spins_interleaved_with_the_core(self):
+        # spins 1, 4, 5 and 9 see no coupling, and the rest stay coupled
+        rng = np.random.default_rng(1700)
+        model = to_ising(random_qubo(rng, 11, dyadic=True))
+        J = model.J.copy()
+        J[[1, 4, 5, 9]] = 0.0
+        J[:, [1, 4, 5, 9]] = 0.0
+        model = IsingModel(h=model.h, J=J, offset=model.offset)
+        assert np.flatnonzero(~model.J.any(axis=1)).tolist() == [1, 4, 5, 9]
+        self.assert_same(model, quick_schedule(seed=7, reads=40, sweeps=60))
+
+    def test_all_spins_uncoupled(self):
+        model = ising_model(np.array([0.5, 0.0, -0.25, 0.0, 1.0, -2.0]), {}, 0.5)
+        self.assert_same(model, quick_schedule(seed=8, reads=40, sweeps=30))
+
+    def test_no_uncoupled_spin(self):
+        rng = np.random.default_rng(1701)
+        model = to_ising(random_qubo(rng, 12, dyadic=True))
+        assert model.J.any(axis=1).all()
+        self.assert_same(model, quick_schedule(seed=9, reads=40, sweeps=60))
+
+    @pytest.mark.parametrize("side", [Side.FRONT, Side.LEFT])
+    def test_dyadic_side_models_without_cost(self, side):
+        # a spin that sees no point is uncoupled, and without cost its h is 0
+        rng = np.random.default_rng(1300)
+        _, _, catalog, data = side_instance(rng, catalog=TWO_TYPE_CATALOG, side=side)
+        model = to_ising(build_iqp(data, catalog, cost_weight=0.0))
+        self.assert_same(model, scaled_schedule(model, num_reads=50, sweeps_per_read=40, seed=4))
+
+    def test_frozen_sweeps_take_one_pass(self, monkeypatch):
+        starts = []
+        one_pass = annealer._frozen_pass
+
+        def recorded(*args):
+            starts.append(one_pass(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(annealer, "_frozen_pass", recorded)
+        rng = np.random.default_rng(1702)
+        model = to_ising(random_qubo(rng, 10, dyadic=True))
+        self.assert_same(model, scaled_schedule(model, num_reads=30, sweeps_per_read=60, seed=2))
+        # some sweeps are decided in one pass, and in some a sweep that
+        # looked frozen flips a spin past its first row and goes on sequentially
+        assert 10 in starts
+        assert any(0 < start < 10 for start in starts)
 
     def test_float_four_by_four_side_model(self):
         # 64 spins with float couplings: field sums are rounded, and the

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import shlex
 from dataclasses import fields
 from pathlib import Path
@@ -296,6 +297,28 @@ class TestRunConfig:
     def test_negative_weights_rejected(self, weight):
         with pytest.raises(ConfigError):
             validate_config(RunConfig(approach="setcover", solvers=("anneal",), **{weight: -1.0}))
+
+    def test_weight_limit_follows_candidates_and_costs(self):
+        # 8 candidates on a 1x2 grid, costing up to 200:
+        # 8 * (8 * coverage_weight + 200 * cost_weight) must stay within a
+        # quarter of the largest float, about 4.5e307
+        small = dict(approach="setcover", solvers=("anneal",), grid=(1, 2))
+        validate_config(RunConfig(cost_weight=2.5e304, **small))
+        validate_config(RunConfig(coverage_weight=6e305, cost_weight=0.0, **small))
+        with pytest.raises(ConfigError, match="8 candidates costing up to 200"):
+            validate_config(RunConfig(cost_weight=3e304, **small))
+        with pytest.raises(ConfigError, match="coverage_weight"):
+            validate_config(RunConfig(coverage_weight=8e305, cost_weight=0.0, **small))
+
+    def test_largest_accepted_weights_solve_without_overflow(self, tmp_path):
+        # every warning is an error here, so an overflow in any solver fails the run
+        config = RunConfig(
+            approach="setcover", solvers=("exhaustive", "anneal"), grid=(1, 2), cost_weight=2.5e304,
+            synthetic=SyntheticRoiSpec(extent=6.0, spacing=1.0), anneal_reads=20, anneal_sweeps=30,
+            output_dir=str(tmp_path / "out"),
+        )
+        outputs = run(config)
+        assert all(math.isfinite(row.result.objective) for row in outputs.sweep_rows)
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
@@ -732,6 +755,23 @@ class TestCli:
         assert cli_main([*argv, flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize(
+        "approach, solver",
+        [("setcover", "anneal"), ("setcover", "vqe"), ("setcover", "exhaustive"), ("fixed_count", "greedy")],
+    )
+    def test_weights_that_overflow_the_model_exit_2_before_coverage(
+        self, tmp_path, capsys, monkeypatch, approach, solver
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("coverage was built")
+
+        monkeypatch.setattr(pipeline, "build_coverage", unreachable)
+        argv = ["solve", "--approach", approach, "--solver", solver, "--grid", "1x2",
+                "--coverage-weight", "1e308", "--outdir", str(tmp_path / "out")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "coverage_weight" in err
 
     @pytest.mark.parametrize(
         "doc, flags, named",
