@@ -17,13 +17,17 @@ quadratic matrix has zero diagonal and
 
 Spin models use the x = (1 + z) / 2 convention: bit 1 maps to spin +1.
 `to_ising` keeps the coupling matrix dense: ``J = quadratic / 2`` is symmetric
-with zero diagonal, so a spin's local field is one row of ``J`` and
-:meth:`IsingModel.energies` is the one place spin energies are computed.
+with zero diagonal, so a spin's local field is one row of ``J``.
+:meth:`QuadraticModel.energies` and :meth:`IsingModel.energies` are the one
+energy expression of each form.  :func:`energy_blocks` tabulates all 2^N
+energies from them: it evaluates each over the two half assignments and
+adds the couplings between the halves, one small matrix product per block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -182,6 +186,34 @@ def enumerate_bits(indices: NDArray[np.int64], n: int) -> NDArray[np.uint8]:
     return ((indices[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
+def energy_blocks(model: QuadraticModel | IsingModel) -> Iterator[NDArray[np.float64]]:
+    """Energies of all 2^N assignments in basis-index order, in blocks of at
+    most ``_ENUM_BLOCK`` for N <= 32 (a spin model's bit 1 is spin +1).
+
+    Meet in the middle (Horowitz & Sahni 1974): with H the first N // 2
+    variables and L the rest, E(x) = E_H(x_H) + E_L(x_L) + x_H . C . x_L.
+    E_H and E_L are the model's own ``energies`` over the half assignments,
+    the other half held at 0 and the offset counted in E_H only; C is
+    ``2 quadratic[H, L]`` for a binary model and ``J[H, L]`` for a spin model.
+    Row r of the 2^|H| x 2^|L| table holds the assignments whose high half
+    has index r, so the table's row-major order is basis-index order.
+    """
+    if isinstance(model, IsingModel):
+        n, levels, coupling = model.num_spins, np.array([-1.0, 1.0]), model.J
+    else:
+        n, levels, coupling = model.num_variables, np.array([0.0, 1.0]), 2.0 * model.quadratic
+    high = n // 2
+    low = n - high
+    x_high = levels[enumerate_bits(np.arange(1 << high, dtype=np.int64), high)]
+    x_low = levels[enumerate_bits(np.arange(1 << low, dtype=np.int64), low)]
+    e_high = model.energies(np.hstack([x_high, np.zeros((len(x_high), low))]))
+    e_low = replace(model, offset=0.0).energies(np.hstack([np.zeros((len(x_low), high)), x_low]))
+    cross = coupling[:high, high:] @ x_low.T
+    rows = max(1, _ENUM_BLOCK >> low)
+    for r in range(0, len(x_high), rows):
+        yield (e_high[r : r + rows, None] + e_low + x_high[r : r + rows] @ cross).ravel()
+
+
 def solve_exhaustive_qubo(
     model: QuadraticModel,
 ) -> tuple[NDArray[np.uint8], float]:
@@ -190,14 +222,11 @@ def solve_exhaustive_qubo(
     if n > DEFAULT_QUBO_ENUMERATION_BITS:
         raise BudgetExceededError(2**n, 2**DEFAULT_QUBO_ENUMERATION_BITS)
     best_energy = None
-    best_bits = None
-    total = 1 << n
-    for start in range(0, total, _ENUM_BLOCK):
-        idx = np.arange(start, min(start + _ENUM_BLOCK, total), dtype=np.int64)
-        bits = enumerate_bits(idx, n)
-        energies = model.energies(bits)
+    best_index = start = 0
+    for energies in energy_blocks(model):
         k = int(np.argmin(energies))
         if best_energy is None or energies[k] < best_energy:
             best_energy = float(energies[k])
-            best_bits = bits[k].copy()
-    return best_bits, best_energy
+            best_index = start + k
+        start += len(energies)
+    return enumerate_bits(np.array([best_index], dtype=np.int64), n)[0], best_energy

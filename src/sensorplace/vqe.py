@@ -31,7 +31,9 @@ with a single matrix product on the state reshaped to
 ``(2^lo, 2^b, rest)``.  A layer's whole CNOT ring is a fixed basis
 permutation, applied as one gather from indices built once per
 (qubit count, layer).  This is the contiguous, fused-gate layout of
-Qulacs (Suzuki et al. 2021) and QuEST (Jones et al. 2019).
+Qulacs (Suzuki et al. 2021) and QuEST (Jones et al. 2019).  The RY
+blocks write in turn into the two rows of one scratch array, which a
+variational run allocates once for all its evaluations.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .fixed_count import (
     objective as selection_objective,
     sensor_count,
 )
-from .setcover import IsingModel, enumerate_bits
+from .setcover import IsingModel, energy_blocks, enumerate_bits
 
 MAX_QUBITS = 20
 
@@ -146,26 +148,34 @@ def _ring_gather(num_qubits: int, layer: int) -> NDArray[np.intp] | None:
     return gather
 
 
-def apply_ansatz(state: NDArray, ansatz: AnsatzSpec) -> NDArray:
+def apply_ansatz(state: NDArray, ansatz: AnsatzSpec, work: NDArray | None = None) -> NDArray:
     """Apply the full ansatz; unitary, so the norm is preserved.
 
-    Returns a new array: real input gives a float64 result, complex input
-    a complex one.
+    Real input gives a float64 result, complex input a complex one.  The
+    RY blocks write in turn into the two rows of ``work``, a ``(2, 2^n)``
+    array of the result's dtype, so only the ring gathers allocate states.
+    The result may be a row of ``work``, which the next call given the same
+    ``work`` overwrites.  Without ``work`` the call allocates its own.
     """
     n = ansatz.num_qubits
     if state.shape != (2**n,):
         raise ValueError("state dimension does not match the ansatz qubit count")
-    out = state
+    if work is None:
+        work = np.empty((2, 2**n), dtype=np.result_type(state, np.float64))
+    out, turn = state, 0
     for layer in range(ansatz.num_layers):
         angles = ansatz.angles[layer * n : (layer + 1) * n]
         for lo in range(0, n, _RY_BLOCK_QUBITS):
             block = _ry_block(angles[lo : lo + _RY_BLOCK_QUBITS])
+            dest = work[turn]
             if lo + _RY_BLOCK_QUBITS < n:
-                out = np.matmul(block, out.reshape(2**lo, len(block), -1))
+                shape = (2**lo, len(block), -1)
+                np.matmul(block, out.reshape(shape), out=dest.reshape(shape))
             else:
                 # the block holds the least significant qubits: one plain matrix product
-                out = out.reshape(-1, len(block)) @ block.T
-        out = out.reshape(-1)
+                shape = (-1, len(block))
+                np.matmul(out.reshape(shape), block.T, out=dest.reshape(shape))
+            out, turn = dest, 1 - turn
         gather = _ring_gather(n, layer)
         if gather is not None:
             out = out[gather]
@@ -336,13 +346,16 @@ def _minimize_traced(measure, num_qubits: int, num_layers: int, cfg: OptimizerCo
 
     rng = np.random.default_rng(seed)
     base = uniform_state(num_qubits)
+    # one scratch for every evaluation: state-sized arrays allocated and freed
+    # per evaluation can cost a page fault per 4 KiB page each time
+    work = np.empty((2, len(base)))
     num_params = num_qubits * num_layers
     trace: list[tuple[int, float, NDArray[np.float64]]] = []
     best_score, best_answer = math.inf, None
 
     def traced(theta):
         nonlocal best_score, best_answer
-        state = apply_ansatz(base, AnsatzSpec(num_qubits, num_layers, theta))
+        state = apply_ansatz(base, AnsatzSpec(num_qubits, num_layers, theta), work)
         value, answer, score = measure(state, rng)
         if score < best_score:
             best_score, best_answer = score, answer
@@ -426,11 +439,10 @@ def vqe_fixed_count(
 
 
 def basis_energies(model: IsingModel) -> NDArray[np.float64]:
-    """Model energy of every basis state, ordered by basis index."""
-    n = model.num_spins
-    _check_qubits(n)
-    bits = enumerate_bits(np.arange(2**n, dtype=np.int64), n)
-    return model.energies(bits.astype(float) * 2.0 - 1.0)
+    """Model energy of every basis state, ordered by basis index: the
+    blocks of the half-and-half energy table of :func:`energy_blocks`."""
+    _check_qubits(model.num_spins)
+    return np.concatenate(list(energy_blocks(model)))
 
 
 #: Probability at which a basis state counts as observed: the level a

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sensorplace.setcover import (
     QuadraticModel,
     approx_coverage,
     build_iqp,
+    energy_blocks,
     enumerate_bits,
     solve_exhaustive_qubo,
     to_ising,
@@ -23,6 +25,7 @@ from sensorplace.setcover import (
 )
 
 from conftest import random_instance, side_instance
+from qubo_oracle import BLOCK, all_energies, solve_exhaustive_qubo_blockwise
 from test_fixed_count import disjoint_instance
 
 
@@ -246,6 +249,74 @@ class TestSolveExhaustiveQubo:
         bits, energy = solve_exhaustive_qubo(model)
         assert energy == -1.0
         assert bits.tolist() == [0, 1]
+
+    def test_budget_guard_starts_at_25_bits(self):
+        n = 25
+        model = QuadraticModel(
+            linear=np.zeros(n),
+            quadratic=np.zeros((n, n)),
+            offset=0.0,
+            variable_names=tuple(f"x{i}" for i in range(n)),
+        )
+        with pytest.raises(BudgetExceededError) as info:
+            solve_exhaustive_qubo(model)
+        assert (info.value.count, info.value.budget) == (2**25, 2**24)
+
+    def test_24_bit_float_model_is_a_local_minimum_within_5_s(self):
+        model = random_qubo(np.random.default_rng(1200), 24)
+        start = time.perf_counter()
+        bits, energy = solve_exhaustive_qubo(model)
+        assert time.perf_counter() - start < 5.0
+        exact = model.energy(bits)
+        assert abs(energy - exact) <= 1e-12 * max(1.0, abs(exact))
+        for i in range(24):
+            flipped = bits.copy()
+            flipped[i] ^= 1
+            assert model.energy(flipped) >= exact
+
+
+class TestEnergyTableMatchesBlockwiseOracle:
+    @pytest.mark.parametrize("n", range(21))
+    def test_dyadic_tables_and_search_are_exact(self, n):
+        model = random_qubo(np.random.default_rng(1000 + n), n, dyadic=True)
+        for form in (model, to_ising(model)):
+            blocks = list(energy_blocks(form))
+            assert max(len(block) for block in blocks) <= BLOCK
+            assert np.array_equal(np.concatenate(blocks), all_energies(form))
+        bits, energy = solve_exhaustive_qubo(model)
+        ref_bits, ref_energy = solve_exhaustive_qubo_blockwise(model)
+        assert np.array_equal(bits, ref_bits) and energy == ref_energy
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 15, 16, 17, 20])
+    def test_float_tables_agree_to_rounding(self, n):
+        model = random_qubo(np.random.default_rng(1100 + n), n)
+        for form in (model, to_ising(model)):
+            table = np.concatenate(list(energy_blocks(form)))
+            ref = all_energies(form)
+            assert np.all(np.abs(table - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+            assert np.argmin(table) == np.argmin(ref)
+        bits, energy = solve_exhaustive_qubo(model)
+        ref_bits, ref_energy = solve_exhaustive_qubo_blockwise(model)
+        assert np.array_equal(bits, ref_bits)
+        assert abs(energy - ref_energy) <= 1e-12 * max(1.0, abs(ref_energy))
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_tie_across_a_block_boundary_goes_to_the_lower_index(self, n):
+        # variable s and the 16 after it: s = 0 with all 16 set ends one block,
+        # s = 1 with none set starts the next, and both have energy -16
+        s = n - 17
+        linear = np.ones(n)
+        linear[s] = -16.0
+        linear[s + 1 :] = -1.0
+        quadratic = np.zeros((n, n))
+        quadratic[s, s + 1 :] = quadratic[s + 1 :, s] = 0.5
+        model = QuadraticModel(linear, quadratic, 0.0, tuple(f"x{i}" for i in range(n)))
+        energies = all_energies(model)
+        assert energies[BLOCK - 1] == energies[BLOCK] == energies.min() == -16.0
+        bits, energy = solve_exhaustive_qubo(model)
+        assert energy == -16.0
+        assert np.array_equal(bits, enumerate_bits(np.array([BLOCK - 1]), n)[0])
+        assert np.array_equal(bits, solve_exhaustive_qubo_blockwise(model)[0])
 
 
 class TestExports:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -187,6 +188,23 @@ class TestFusedKernelMatchesGateOracle:
             gather = _ring_gather(n, layer)
             assert not gather.flags.writeable
             assert np.array_equal(labels[gather], want)
+
+    def test_shared_work_gives_the_same_state_without_scratch_allocations(self):
+        n = 12
+        ansatz = AnsatzSpec(n, 3, np.random.default_rng(4).uniform(-np.pi, np.pi, 3 * n))
+        state = uniform_state(n)
+        want = apply_ansatz(state, ansatz)
+        work = np.empty((2, 2**n))
+        tracemalloc.start()
+        try:
+            same = [np.array_equal(apply_ansatz(state, ansatz, work), want) for _ in range(2)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert same == [True, True]
+        # a ring gather allocates the gathered state; any state-sized scratch
+        # besides it breaks the bound
+        assert peak < 1.5 * state.nbytes
 
     def test_dtype_follows_input(self):
         ansatz = AnsatzSpec(5, 3, np.random.default_rng(3).uniform(-np.pi, np.pi, 15))
