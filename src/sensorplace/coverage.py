@@ -4,9 +4,9 @@ For a cloud with criticalities ``c_r`` and candidates with boolean
 coverage rows ``m_i``, the weighted coverage of a point set is the sum of
 its criticalities divided by the cloud total.  ``singles[i]`` is the
 weighted coverage of candidate ``i`` alone and ``overlaps[i, j]`` the
-weighted coverage of the pairwise intersection, so ``overlaps`` equals
-``(M * c) @ M.T / normalizer`` for the 0/1 mask matrix ``M``; it is
-symmetric positive-semidefinite with ``singles`` on its diagonal.
+weighted coverage of the pairwise intersection: ``(M * c) @ M.T /
+normalizer`` for the 0/1 mask matrix ``M``, formed limb by limb (below).
+It is symmetric positive-semidefinite with ``singles`` on its diagonal.
 
 Building the matrix is embarrassingly parallel over candidates (each row
 is independent) and the result is immutable, so a
@@ -19,8 +19,9 @@ cloud, and once over the cloud's critical points for adherence.
 Covered weights are exact.  Each criticality is split without error
 into limbs on a common grid of ``b = 53 - bit_length(n)`` bits for ``n``
 points (Ozaki, Ogita, Oishi & Rump 2012), so any sum of one limb's values
-is exact, in any order and through BLAS too.  Every path adds a covered
-set's limb sums with :func:`limb_total`, in one fixed order, and gets one
+is exact, in any order and through BLAS too.  Every path (singles,
+overlaps, greedy's gains, the screen, the union) adds a covered set's
+limb sums with :func:`limb_total`, in one fixed order, and gets one
 float: with two limbs, as on clouds whose weights span a few binary
 orders, the correctly rounded sum.  The normalizer is the whole cloud's.
 """
@@ -42,14 +43,13 @@ class CoverageData:
     """Precomputed coverage of a candidate set against one cloud.
 
     ``masks`` is the (N, n) boolean candidate-by-point coverage matrix;
-    ``weights`` the per-point criticalities and ``limbs`` their (L, n)
-    exact split; ``normalizer`` the cloud total, by :func:`limb_total`.
+    ``limbs`` the (L, n) exact split of the per-point criticalities;
+    ``normalizer`` the cloud total, by :func:`limb_total`.
     """
 
     masks: NDArray[np.bool_]
     singles: NDArray[np.float64]
     overlaps: NDArray[np.float64]
-    weights: NDArray[np.float64]
     limbs: NDArray[np.float64]
     normalizer: float
     configs: tuple[SensorConfig, ...]
@@ -70,9 +70,9 @@ def build_coverage(
 ) -> CoverageData:
     """Compute masks, singles and pairwise overlaps for the given candidates.
 
-    The diagonal of ``overlaps`` is copied into ``singles`` so the
-    ``singles[i] == overlaps[i, i]`` identity holds exactly.  A sensor
-    type index outside the catalog raises :class:`ConfigError`.
+    Each per-limb product is exact, so ``overlaps`` is symmetric and
+    ``singles``, its diagonal, is each candidate's exact union coverage.
+    A sensor type index outside the catalog raises :class:`ConfigError`.
     """
     if unknown := sorted({c.type_index for c in configs} - set(range(len(catalog)))):
         raise ConfigError(f"the catalog has no sensor type index {', '.join(map(str, unknown))}")
@@ -89,15 +89,12 @@ def build_coverage(
         masks[i] = fov_mask(cfg, catalog[cfg.type_index], cloud.points)
 
     mask_f = masks.astype(float)
-    weighted = mask_f * cloud.criticality
-    overlaps = weighted @ mask_f.T / normalizer
-    overlaps = np.triu(overlaps) + np.triu(overlaps, 1).T  # exactly symmetric
-    singles = overlaps.diagonal().copy()
+    # each per-limb product is exact, hence symmetric: .T puts the limb axis last
+    overlaps = limb_total(np.array([(mask_f * limb) @ mask_f.T for limb in limbs]).T) / normalizer
     return CoverageData(
         masks=masks,
-        singles=singles,
+        singles=overlaps.diagonal().copy(),
         overlaps=overlaps,
-        weights=cloud.criticality.copy(),
         limbs=limbs,
         normalizer=normalizer,
         configs=tuple(configs),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coverage import CoverageData
+from .coverage import CoverageData, limb_total
 from .fixed_count import FixedCountProblem, position_index_map
 from .setcover import QuadraticModel
 
@@ -59,7 +59,7 @@ def write_fixed_count_lp(fh, problem: FixedCountProblem) -> None:
     z_names = [f"z{r}" for r in range(n_pts)]
 
     obj_coeffs = list(problem.cost_weight * problem.costs) + [
-        -problem.coverage_weight * w / data.normalizer for w in data.weights
+        -problem.coverage_weight * w / data.normalizer for w in limb_total(data.limbs.T)
     ]
     fh.write("\\ fixed sensor-count coverage model\n")
     fh.write("Minimize\n obj: ")

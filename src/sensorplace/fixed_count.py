@@ -262,6 +262,7 @@ def solve_exhaustive(
 def solve_greedy(problem: FixedCountProblem) -> SelectionResult:
     """Add, one at a time, the candidate with the best marginal objective change.
 
+    A gain is the limb total of the weights a candidate newly covers.
     Deterministic: float ties break toward the smallest candidate index.
     A picked candidate blocks every candidate at its mount position;
     :class:`FixedCountProblem` guarantees enough positions for the count.
@@ -272,8 +273,7 @@ def solve_greedy(problem: FixedCountProblem) -> SelectionResult:
     blocked = np.zeros(data.num_configs, dtype=bool)
     covered = np.zeros(data.num_points, dtype=bool)
     for _ in range(sensor_count(problem)):
-        remaining = data.weights * ~covered
-        gains = mask_f @ remaining / data.normalizer
+        gains = limb_total(mask_f @ (data.limbs * ~covered).T) / data.normalizer
         delta = -problem.coverage_weight * gains + problem.cost_weight * problem.costs
         delta[blocked] = np.inf
         pick = int(np.argmin(delta))

@@ -70,8 +70,7 @@ class QuadraticModel:
         return self.linear.shape[0]
 
     def energy(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(x @ self.linear + x @ self.quadratic @ x + self.offset)
+        return float(self.energies([x])[0])
 
     def energies(self, assignments: NDArray) -> NDArray[np.float64]:
         """Vectorized energies for an (m, N) batch of binary assignments."""
@@ -139,9 +138,9 @@ def build_iqp(
 ) -> QuadraticModel:
     """Quadratic program for trading approximate coverage against cost.
 
-    Position uniqueness is deliberately not encoded: on a reasonably
-    sized grid every cell can physically hold a sensor and the slack
-    variables needed for inequality rows would enlarge the model.
+    Position uniqueness is not encoded: each result's ``feasible`` flag
+    reports it, and :func:`sensorplace.exports.write_iqp_lp` writes its
+    at-most-one rows as LP constraints.
     """
     costs = config_costs(data.configs, catalog)
     linear = -coverage_weight * data.singles + cost_weight * costs

@@ -16,6 +16,7 @@ from sensorplace.annealer import (
     suggest_beta_range,
     _read_rng,
 )
+from sensorplace.coverage import limb_total
 from sensorplace.fixed_count import make_problem
 from sensorplace.geometry import Side
 from sensorplace.setcover import IsingModel, build_iqp, solve_exhaustive_qubo, to_ising
@@ -326,7 +327,7 @@ class TestGroundStateRecovery:
         assert model.energy(bits) == pytest.approx(eb, abs=1e-12)
         assert result.solver_tag == "anneal"
         assert result.coverage == pytest.approx(
-            float(data.weights[data.masks[list(result.selected)].any(axis=0)].sum() / data.normalizer)
+            float(limb_total(data.limbs.T)[data.masks[list(result.selected)].any(axis=0)].sum() / data.normalizer)
         )
 
     def test_empty_best_sample_decodes_to_empty_selection(self):

@@ -122,9 +122,14 @@ class TestExactUnionCoverage:
 
     def test_singleton_equals_singles(self):
         rng = np.random.default_rng(9)
-        _, _, _, data = random_instance(rng)
-        for i in range(data.num_configs):
-            assert exact_union_coverage([i], data) == data.singles[i]
+        for exact in (True, False):
+            _, _, _, data = random_instance(rng, exact=exact)
+            for i in range(data.num_configs):
+                assert exact_union_coverage([i], data) == data.singles[i]
+                for j in range(data.num_configs):
+                    both = data.masks[i] & data.masks[j]
+                    pair = float(limb_total(data.limbs[:, both].sum(axis=1)) / data.normalizer)
+                    assert data.overlaps[i, j] == pair
 
     def test_three_config_union_matches_brute_force(self):
         for seed in range(4):
@@ -143,6 +148,8 @@ class TestExactUnionCoverage:
         for _ in range(200):
             sel = rng.choice(10, size=int(rng.integers(1, 6)), replace=False).tolist()
             assert exact_union_coverage(sel, shuffled) == exact_union_coverage(sel, data)
+        assert np.array_equal(shuffled.singles, data.singles)
+        assert np.array_equal(shuffled.overlaps, data.overlaps)
 
     def test_limbs_rebuild_the_weights_exactly(self):
         weights = np.append(np.geomspace(1.0, 1e-300, 99), [0.0, 5e-324])

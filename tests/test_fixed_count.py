@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from sensorplace.coverage import build_coverage, exact_union_coverage
+from sensorplace.coverage import build_coverage, exact_union_coverage, limb_total
 from sensorplace.errors import BudgetExceededError
 from sensorplace.exports import write_fixed_count_lp
 from sensorplace import fixed_count
@@ -280,7 +280,7 @@ def greedy_reference(problem) -> tuple[int, ...]:
     used: set[int] = set()
     covered = np.zeros(data.num_points, dtype=bool)
     for _ in range(problem.num_sensors):
-        gains = data.masks.astype(float) @ (data.weights * ~covered) / data.normalizer
+        gains = data.masks.astype(float) @ (limb_total(data.limbs.T) * ~covered) / data.normalizer
         delta = -problem.coverage_weight * gains + problem.cost_weight * problem.costs
         for i in range(data.num_configs):
             if int(problem.position_of[i]) in used:

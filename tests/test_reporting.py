@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sensorplace.coverage import build_coverage
+from sensorplace.coverage import build_coverage, limb_total
 from sensorplace.errors import MissingSideError, NoCriticalPointsError
 from sensorplace.fixed_count import SelectionResult
 from sensorplace.geometry import (
@@ -127,7 +127,7 @@ class TestAggregate:
         for side in SIDE_ORDER:
             side_cloud = cloud.side_cloud(side)
             data = build_coverage(side_cloud, per_side[side].configs, self.catalog)
-            total += float(data.weights[data.masks.any(axis=0)].sum())
+            total += float(limb_total(data.limbs.T)[data.masks.any(axis=0)].sum())
         assert report.aggregate_coverage == pytest.approx(total / cloud.total_criticality, abs=1e-12)
         assert report.total_cost == 200.0
 
@@ -147,7 +147,7 @@ class TestAggregate:
         report = aggregate(per_side, cloud, wide)
         front_cloud = cloud.side_cloud(Side.FRONT)
         data = build_coverage(front_cloud, [front_cfg], wide)
-        front_only = float(data.weights[data.masks[0]].sum()) / cloud.total_criticality
+        front_only = float(limb_total(data.limbs.T)[data.masks[0]].sum()) / cloud.total_criticality
         assert report.aggregate_coverage > front_only
 
     def test_empty_selections_score_zero(self, vehicle):
