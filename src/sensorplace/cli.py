@@ -171,7 +171,8 @@ def _cmd_export_lp(args) -> int:
             raise ConfigError(f"--num-sensors: {exc}") from None
         write = partial(write_fixed_count_lp, problem=problem)
     else:
-        write = partial(write_iqp_lp, model=build_iqp(data, catalog, **weights), data=data)
+        problem = make_problem(data, catalog, None, **weights)
+        write = partial(write_iqp_lp, model=build_iqp(data, catalog, **weights), problem=problem)
     with open(args.out, "w") as fh:
         write(fh)
     print(f"wrote {config.approach} LP model to {args.out}")

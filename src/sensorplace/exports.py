@@ -1,11 +1,12 @@
 """Plain-text model exports: LP files and a QUBO coordinate format.
 
-The LP writers emit standard LP-format text so large instances can be
-handed to an external exact solver.  The fixed-count export materializes the
-full integer linear model, including one covered-point indicator
-variable and row per cloud point; the free-count export carries the
-quadratic objective in a ``[ ... ] / 2`` bracket plus the
-position-uniqueness rows.
+Both LP writers go through one writer of the file layout, with the
+objective wrapping and the at-most-one-per-position rows written once.
+The fixed-count export is the full integer linear model, with one
+covered-point indicator and linking row per cloud point; it needs a
+fixed count and raises ``ValueError`` on a free-count problem.  The
+free-count export puts the quadratic objective in a ``[ ... ] / 2``
+bracket and reads its position rows from the side's problem.
 
 The QUBO coordinate format is one ``i j value`` triple per line, where
 ``i == j`` rows are linear terms and ``i < j`` rows hold the full
@@ -16,18 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coverage import CoverageData, limb_total
-from .fixed_count import FixedCountProblem, position_index_map
+from .coverage import limb_total
+from .fixed_count import FixedCountProblem, sensor_count
 from .setcover import QuadraticModel
 
 QUBO_COO_SCHEMA = "# sensorplace qubo coo v1"
-
-
-def _term(coeff: float, name: str, lead: bool) -> str:
-    body = f"{repr(abs(float(coeff)))} {name}"
-    if coeff < 0:
-        return f"- {body}"
-    return body if lead else f"+ {body}"
 
 
 def _objective_lines(names, coeffs, per_line: int = 8) -> str:
@@ -35,13 +29,29 @@ def _objective_lines(names, coeffs, per_line: int = 8) -> str:
     treat line breaks between tokens as whitespace)."""
     parts = []
     for name, c in zip(names, coeffs):
-        if c == 0.0:
-            continue
-        parts.append(_term(c, name, lead=not parts))
+        if c != 0.0:
+            body = f"{repr(abs(float(c)))} {name}"
+            parts.append(f"- {body}" if c < 0 else f"+ {body}" if parts else body)
     if not parts:
         return "0 " + names[0]
     lines = [" ".join(parts[i : i + per_line]) for i in range(0, len(parts), per_line)]
     return "\n   ".join(lines)
+
+
+def _position_rows(problem: FixedCountProblem, names) -> list[tuple[str, str, str]]:
+    groups = problem.position_groups
+    return [(f"pos{p}", " + ".join(names[i] for i in groups[p]), "<= 1") for p in sorted(groups)]
+
+
+def _write_lp(fh, title: list[str], objective: str, rows, binaries) -> None:
+    """One LP file: ``title`` as comment lines, ``Minimize`` the
+    objective, ``Subject To`` the rows, then the binaries."""
+    fh.writelines(f"\\ {line}\n" for line in title)
+    fh.write(f"Minimize\n obj: {objective}\nSubject To\n")
+    fh.writelines(f" {name}: {lhs} {bound}\n" for name, lhs, bound in rows)
+    fh.write("Binaries\n")
+    fh.writelines(f" {name}\n" for name in binaries)
+    fh.write("End\n")
 
 
 def write_fixed_count_lp(fh, problem: FixedCountProblem) -> None:
@@ -52,75 +62,40 @@ def write_fixed_count_lp(fh, problem: FixedCountProblem) -> None:
     exact sensor count, and one linking row per point forcing its
     indicator to zero unless some selected candidate covers it.
     """
+    k = sensor_count(problem)
     data = problem.data
-    n_cfg = data.num_configs
-    n_pts = data.num_points
-    x_names = [f"x{i}" for i in range(n_cfg)]
-    z_names = [f"z{r}" for r in range(n_pts)]
-
+    x_names = [f"x{i}" for i in range(data.num_configs)]
+    z_names = [f"z{r}" for r in range(data.num_points)]
     obj_coeffs = list(problem.cost_weight * problem.costs) + [
         -problem.coverage_weight * w / data.normalizer for w in limb_total(data.limbs.T)
     ]
-    fh.write("\\ fixed sensor-count coverage model\n")
-    fh.write("Minimize\n obj: ")
-    fh.write(_objective_lines(x_names + z_names, obj_coeffs))
-    fh.write("\nSubject To\n")
-
-    groups = problem.position_groups
-    for p in sorted(groups):
-        members = " + ".join(x_names[i] for i in groups[p])
-        fh.write(f" pos{p}: {members} <= 1\n")
-    fh.write(f" count: {' + '.join(x_names)} = {problem.num_sensors}\n")
-
-    for r in range(n_pts):
-        covering = np.flatnonzero(data.masks[:, r])
-        if covering.size:
-            lhs = f"{z_names[r]} - " + " - ".join(x_names[i] for i in covering)
-        else:
-            lhs = z_names[r]
-        fh.write(f" cov{r}: {lhs} <= 0\n")
-
-    fh.write("Binaries\n")
-    for name in x_names + z_names:
-        fh.write(f" {name}\n")
-    fh.write("End\n")
+    rows = _position_rows(problem, x_names) + [("count", " + ".join(x_names), f"= {k}")]
+    rows += [
+        (f"cov{r}", " - ".join([z] + [x_names[i] for i in np.flatnonzero(data.masks[:, r])]), "<= 0")
+        for r, z in enumerate(z_names)
+    ]
+    objective = _objective_lines(x_names + z_names, obj_coeffs)
+    _write_lp(fh, ["fixed sensor-count coverage model"], objective, rows, x_names + z_names)
 
 
-def write_iqp_lp(fh, model: QuadraticModel, data: CoverageData) -> None:
-    """Emit the free-count quadratic model with position-uniqueness rows.
+def write_iqp_lp(fh, model: QuadraticModel, problem: FixedCountProblem) -> None:
+    """Emit the free-count quadratic model with the position rows of
+    ``problem``, the side's free-count problem.
 
     The quadratic objective uses the LP bracket convention: a pair term
     ``c x_i * x_j`` inside ``[ ... ] / 2`` contributes ``c / 2``, so the
     full pair coefficient ``2 * quadratic[i, j]`` is written as
     ``4 * quadratic[i, j]``.
     """
-    n = model.num_variables
-    names = [f"x{i}" for i in range(n)]
-    fh.write("\\ free-count quadratic coverage model\n")
-    for i, label in enumerate(model.variable_names):
-        fh.write(f"\\ x{i} = {label}\n")
-    fh.write("Minimize\n obj: ")
-    fh.write(_objective_lines(names, model.linear))
-    quad_parts = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = model.quadratic[i, j]
-            if q != 0.0:
-                quad_parts.append(_term(4.0 * q, f"{names[i]} * {names[j]}", lead=not quad_parts))
-    if quad_parts:
-        wrapped = "\n   ".join(
-            " ".join(quad_parts[i : i + 6]) for i in range(0, len(quad_parts), 6)
-        )
-        fh.write("\n   + [ " + wrapped + " ] / 2")
-    fh.write("\nSubject To\n")
-    groups, _ = position_index_map(data.configs)
-    for p in sorted(groups):
-        members = " + ".join(names[i] for i in groups[p])
-        fh.write(f" pos{p}: {members} <= 1\n")
-    fh.write("Binaries\n")
-    for name in names:
-        fh.write(f" {name}\n")
-    fh.write("End\n")
+    names = [f"x{i}" for i in range(model.num_variables)]
+    title = ["free-count quadratic coverage model"]
+    title += [f"{name} = {label}" for name, label in zip(names, model.variable_names)]
+    objective = _objective_lines(names, model.linear)
+    rows, cols = np.nonzero(np.triu(model.quadratic, 1))  # row-major: pairs in (i, j) order
+    if rows.size:
+        pairs = [f"{names[i]} * {names[j]}" for i, j in zip(rows, cols)]
+        objective += f"\n   + [ {_objective_lines(pairs, 4.0 * model.quadratic[rows, cols], 6)} ] / 2"
+    _write_lp(fh, title, objective, _position_rows(problem, names), names)
 
 
 def write_qubo_coo(fh, model: QuadraticModel) -> None:
@@ -130,13 +105,9 @@ def write_qubo_coo(fh, model: QuadraticModel) -> None:
     fh.write(f"# variables {n}\n")
     fh.write(f"# offset {repr(float(model.offset))}\n")
     fh.write("# i j coefficient of x_i*x_j (i == j rows are linear terms)\n")
-    for i in range(n):
-        if model.linear[i] != 0.0:
-            fh.write(f"{i} {i} {repr(float(model.linear[i]))}\n")
-        for j in range(i + 1, n):
-            q = model.quadratic[i, j]
-            if q != 0.0:
-                fh.write(f"{i} {j} {repr(float(2.0 * q))}\n")
+    coo = np.triu(2.0 * model.quadratic, 1) + np.diag(model.linear)
+    for i, j in zip(*np.nonzero(coo)):
+        fh.write(f"{i} {j} {repr(float(coo[i, j]))}\n")
 
 
 def read_qubo_coo(fh) -> QuadraticModel:

@@ -477,7 +477,7 @@ def vqe_ising(
         if not visible.size:
             visible = np.array([np.argmax(probs)])
         k = int(visible[np.argmin(energies[visible])])
-        return float(probs @ energies), k, energies[k]
+        return float(np.einsum("i,i->", probs, energies)), k, energies[k]
 
     state, trace = _minimize_traced(measure, model.num_spins, num_layers, optimizer, seed)
     bits = enumerate_bits(np.array([state], dtype=np.int64), model.num_spins)[0]

@@ -11,6 +11,7 @@ import pytest
 from sensorplace.coverage import exact_union_coverage
 from sensorplace.errors import BudgetExceededError
 from sensorplace.exports import read_qubo_coo, write_iqp_lp, write_qubo_coo
+from sensorplace.fixed_count import make_problem
 from sensorplace.geometry import config_costs
 from sensorplace.setcover import (
     IsingModel,
@@ -337,7 +338,7 @@ class TestExports:
         _, _, catalog, data = side_instance(rng, grid=(2, 2), num_points=80)
         model = build_iqp(data, catalog)
         buf = io.StringIO()
-        write_iqp_lp(buf, model, data)
+        write_iqp_lp(buf, model, make_problem(data, catalog, None))
         text = buf.getvalue()
         assert "Minimize" in text and "] / 2" in text and text.rstrip().endswith("End")
         assert sum(1 for line in text.splitlines() if line.startswith(" pos")) == 4

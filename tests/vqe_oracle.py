@@ -104,7 +104,7 @@ def minimize_expectation(model, num_layers=3, optimizer=OptimizerConfig(), seed=
         if best["energy"] is None or energies[k] < best["energy"]:
             best["energy"] = float(energies[k])
             best["state"] = k
-        return float(probs @ energies)
+        return float(np.einsum("i,i->", probs, energies))
 
     trace = _minimize_traced(score, n * num_layers, optimizer, rng)
     return best["state"], best["energy"], trace
