@@ -31,9 +31,15 @@ with a single matrix product on the state reshaped to
 ``(2^lo, 2^b, rest)``.  A layer's whole CNOT ring is a fixed basis
 permutation, applied as one gather from indices built once per
 (qubit count, layer).  This is the contiguous, fused-gate layout of
-Qulacs (Suzuki et al. 2021) and QuEST (Jones et al. 2019).  The RY
-blocks write in turn into the two rows of one scratch array, which a
-variational run allocates once for all its evaluations.
+Qulacs (Suzuki et al. 2021) and QuEST (Jones et al. 2019).
+
+A variational run allocates one scratch array of ``num_layers + 2``
+state rows for all its evaluations: the RY blocks write in turn into
+its first two rows, and every layer leaves its output in a row of its
+own.  An evaluation whose first layers have the previous evaluation's
+angles, bit for bit, starts at the first layer whose angles changed and
+reads that layer's input from the scratch.  COBYLA's first simplex moves
+one angle at a time, so most of its evaluations skip at least one layer.
 """
 
 from __future__ import annotations
@@ -85,19 +91,28 @@ def uniform_state(num_qubits: int) -> NDArray[np.float64]:
 _RY_BLOCK_QUBITS = 4
 
 
-def _ry_block(angles: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Kronecker product of the RY matrices of consecutive qubits, first one most significant.
+def _ry_blocks(angles: NDArray[np.float64]) -> list[NDArray[np.float64]]:
+    """RY blocks of one layer, in qubit order: each the Kronecker product of
+    the RY matrices of up to ``_RY_BLOCK_QUBITS`` consecutive qubits, the
+    first one most significant.
 
-    Built by broadcasting, which gives ``np.kron``'s products at a quarter
-    of its call overhead.
+    All blocks of one size are built in one broadcast, one product per
+    qubit in qubit order, so each holds the same products as a block built
+    on its own.
     """
-    block = np.ones((1, 1))
-    for angle in angles:
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        ry = np.array([[c, -s], [s, c]])
-        dim = 2 * len(block)
-        block = (block[:, None, :, None] * ry[None, :, None, :]).reshape(dim, dim)
-    return block
+    cos_sin = [(math.cos(a), math.sin(a)) for a in (angles / 2.0).tolist()]
+    ry = np.array([[[c, -s], [s, c]] for c, s in cos_sin])
+    full = len(ry) - len(ry) % _RY_BLOCK_QUBITS
+    blocks = []
+    for group in (ry[:full].reshape(-1, _RY_BLOCK_QUBITS, 2, 2), ry[full:][None]):
+        if not group.size:
+            continue
+        kron = group[:, 0]
+        for q in range(1, group.shape[1]):
+            dim = 2 * kron.shape[1]
+            kron = (kron[:, :, None, :, None] * group[:, q, None, :, None, :]).reshape(-1, dim, dim)
+        blocks.extend(kron)
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -136,7 +151,8 @@ def _ring_gather(num_qubits: int, layer: int) -> NDArray[np.intp] | None:
     Applying the ring's CNOTs in ascending control order maps basis state
     ``x`` to ``f(x)``; the gathered state ``state[g]`` has ``g = f^-1``,
     which applies the same self-inverse CNOTs in descending order.  The
-    returned array is read-only because the cache shares it.
+    cache shares the returned array, so no caller may write to it; it stays
+    writable because ``np.take`` copies a read-only index array on every call.
     """
     pairs = entangler_pairs(num_qubits, layer)
     if not pairs:
@@ -144,41 +160,57 @@ def _ring_gather(num_qubits: int, layer: int) -> NDArray[np.intp] | None:
     gather = np.arange(2**num_qubits, dtype=np.intp)
     for control, target in reversed(pairs):
         gather ^= ((gather >> (num_qubits - 1 - control)) & 1) << (num_qubits - 1 - target)
-    gather.setflags(write=False)
     return gather
 
 
-def apply_ansatz(state: NDArray, ansatz: AnsatzSpec, work: NDArray | None = None) -> NDArray:
-    """Apply the full ansatz; unitary, so the norm is preserved.
+def apply_ansatz(
+    state: NDArray, ansatz: AnsatzSpec, work: NDArray | None = None, start_layer: int = 0
+) -> NDArray:
+    """Apply the ansatz from layer ``start_layer`` on; unitary, so the norm is preserved.
 
-    Real input gives a float64 result, complex input a complex one.  The
-    RY blocks write in turn into the two rows of ``work``, a ``(2, 2^n)``
-    array of the result's dtype, so only the ring gathers allocate states.
-    The result may be a row of ``work``, which the next call given the same
-    ``work`` overwrites.  Without ``work`` the call allocates its own.
+    Real input gives a float64 result, complex input a complex one.
+    ``work`` is a ``(num_layers + 2, 2^n)`` array of the result's dtype:
+    the RY blocks write in turn into its first two rows, and the output of
+    layer ``l``, which is the input of layer ``l + 1``, goes to row
+    ``l + 2``.  The result is the last row, which the next call given the
+    same ``work`` overwrites; given ``work``, a call allocates no
+    state-sized array.  A call with ``start_layer > 0`` reads its first
+    layer's input from ``work``.  It gives the result of a call from layer
+    0 only when the previous call given that ``work`` had the same
+    ``state`` and, bit for bit, the same angles in the layers before
+    ``start_layer``.  Without ``work`` the call allocates its own and
+    starts at layer 0.
     """
-    n = ansatz.num_qubits
+    n, num_layers = ansatz.num_qubits, ansatz.num_layers
     if state.shape != (2**n,):
         raise ValueError("state dimension does not match the ansatz qubit count")
     if work is None:
-        work = np.empty((2, 2**n), dtype=np.result_type(state, np.float64))
-    out, turn = state, 0
-    for layer in range(ansatz.num_layers):
-        angles = ansatz.angles[layer * n : (layer + 1) * n]
-        for lo in range(0, n, _RY_BLOCK_QUBITS):
-            block = _ry_block(angles[lo : lo + _RY_BLOCK_QUBITS])
-            dest = work[turn]
+        if start_layer:
+            raise ValueError("only a call given the previous call's work can start past layer 0")
+        work = np.empty((num_layers + 2, 2**n), dtype=np.result_type(state, np.float64))
+    elif work.shape != (num_layers + 2, 2**n):
+        raise ValueError(f"work must have shape ({num_layers + 2}, {2**n}), got {work.shape}")
+    if not 0 <= start_layer <= num_layers:
+        raise ValueError(f"start_layer must lie in 0..{num_layers}, got {start_layer}")
+    out = state if start_layer == 0 else work[start_layer + 1]
+    for layer in range(start_layer, num_layers):
+        gather = _ring_gather(n, layer)
+        layer_out = work[layer + 2]
+        for i, block in enumerate(_ry_blocks(ansatz.angles[layer * n : (layer + 1) * n])):
+            lo = i * _RY_BLOCK_QUBITS
             if lo + _RY_BLOCK_QUBITS < n:
+                dest = work[i % 2]
                 shape = (2**lo, len(block), -1)
                 np.matmul(block, out.reshape(shape), out=dest.reshape(shape))
             else:
                 # the block holds the least significant qubits: one plain matrix product
+                dest = layer_out if gather is None else work[i % 2]
                 shape = (-1, len(block))
                 np.matmul(out.reshape(shape), block.T, out=dest.reshape(shape))
-            out, turn = dest, 1 - turn
-        gather = _ring_gather(n, layer)
+            out = dest
         if gather is not None:
-            out = out[gather]
+            # the indices are a permutation; "raise", the default mode, would buffer out
+            out = np.take(out, gather, out=layer_out, mode="clip")
     return out
 
 
@@ -334,8 +366,9 @@ def _minimize_traced(measure, num_qubits: int, num_layers: int, cfg: OptimizerCo
     """One variational run: evaluate at random angles, then spend the budget
     on COBYLA searches from fresh random angles.
 
-    An evaluation applies the ansatz to the uniform superposition and
-    passes the state and the run's one ``default_rng(seed)`` stream to
+    An evaluation applies the ansatz to the uniform superposition, starting
+    at the first layer whose angles differ from the previous evaluation's,
+    and passes the state and the run's one ``default_rng(seed)`` stream to
     ``measure``, which returns the value to minimize and an answer with its
     score (None and inf for no answer).  Returns the first lowest-scoring
     answer and the ``(iteration, value, angles)`` trace.  No COBYLA start is made on fewer
@@ -348,18 +381,25 @@ def _minimize_traced(measure, num_qubits: int, num_layers: int, cfg: OptimizerCo
     base = uniform_state(num_qubits)
     # one scratch for every evaluation: state-sized arrays allocated and freed
     # per evaluation can cost a page fault per 4 KiB page each time
-    work = np.empty((2, len(base)))
+    work = np.empty((num_layers + 2, len(base)))
     num_params = num_qubits * num_layers
     trace: list[tuple[int, float, NDArray[np.float64]]] = []
     best_score, best_answer = math.inf, None
 
     def traced(theta):
         nonlocal best_score, best_answer
-        state = apply_ansatz(base, AnsatzSpec(num_qubits, num_layers, theta), work)
+        theta = np.array(theta, dtype=float)
+        start_layer = 0
+        if trace:
+            # bitwise, so that -0.0 and +0.0 differ: a layer is reused only
+            # when its inputs are the previous evaluation's, bit for bit
+            changed = np.flatnonzero(theta.view(np.int64) != trace[-1][2].view(np.int64))
+            start_layer = int(changed[0]) // num_qubits if changed.size else num_layers
+        state = apply_ansatz(base, AnsatzSpec(num_qubits, num_layers, theta), work, start_layer)
         value, answer, score = measure(state, rng)
         if score < best_score:
             best_score, best_answer = score, answer
-        trace.append((len(trace), value, np.array(theta, dtype=float)))
+        trace.append((len(trace), value, theta))
         return value
 
     traced(rng.uniform(-np.pi, np.pi, num_params))
@@ -464,15 +504,23 @@ def vqe_ising(
     model energy.  The answer is the best-energy basis state observed, at
     probability ``OBSERVATION_FLOOR`` or more (the most probable state when
     none is), scored through ``problem`` (normally free-count) with its exact
-    union coverage.  Repeated runs on one model can share its ``basis_energies``.
+    union coverage.  Repeated runs on one model can share its ``basis_energies``;
+    a table of any other shape than ``(2^n,)`` is rejected before the first
+    evaluation.
     """
     if model.num_spins != problem.data.num_configs:
         raise ValueError("one spin per candidate required")
     if energies is None:
         energies = basis_energies(model)
+    if np.shape(energies) != (2**model.num_spins,):
+        raise ValueError(
+            f"energies must have shape ({2**model.num_spins},), one per basis state; "
+            f"got {np.shape(energies)}"
+        )
+    probs = np.empty(2**model.num_spins)
 
     def measure(state, rng):
-        probs = np.abs(state) ** 2
+        np.square(state, out=probs)
         visible = np.flatnonzero(probs >= OBSERVATION_FLOOR)
         if not visible.size:
             visible = np.array([np.argmax(probs)])

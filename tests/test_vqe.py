@@ -14,7 +14,9 @@ import pytest
 from scipy import stats
 
 import sensorplace
+from sensorplace import vqe
 from sensorplace.errors import InsufficientSupportError
+from sensorplace.geometry import DEFAULT_CATALOG
 from sensorplace.fixed_count import make_problem, solve_exhaustive
 from sensorplace.vqe import (
     AnsatzSpec,
@@ -178,6 +180,8 @@ class TestFusedKernelMatchesGateOracle:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_ring_gather_maps_every_basis_state_like_sequential_cnots(self, n):
         labels = np.arange(2**n, dtype=float)
+        # the cache shares writable arrays: the kernel must leave them as built
+        apply_ansatz(uniform_state(n), AnsatzSpec(n, n + 1, np.ones(n * (n + 1))))
         for layer in range(n + 1):
             pairs = entangler_pairs(n, layer)
             if not pairs:
@@ -185,16 +189,14 @@ class TestFusedKernelMatchesGateOracle:
             want = labels
             for control, target in pairs:
                 want = apply_cnot(want, control, target)
-            gather = _ring_gather(n, layer)
-            assert not gather.flags.writeable
-            assert np.array_equal(labels[gather], want)
+            assert np.array_equal(labels[_ring_gather(n, layer)], want)
 
     def test_shared_work_gives_the_same_state_without_scratch_allocations(self):
-        n = 12
+        n = 14
         ansatz = AnsatzSpec(n, 3, np.random.default_rng(4).uniform(-np.pi, np.pi, 3 * n))
         state = uniform_state(n)
         want = apply_ansatz(state, ansatz)
-        work = np.empty((2, 2**n))
+        work = np.empty((3 + 2, 2**n))
         tracemalloc.start()
         try:
             same = [np.array_equal(apply_ansatz(state, ansatz, work), want) for _ in range(2)]
@@ -202,9 +204,35 @@ class TestFusedKernelMatchesGateOracle:
         finally:
             tracemalloc.stop()
         assert same == [True, True]
-        # a ring gather allocates the gathered state; any state-sized scratch
-        # besides it breaks the bound
-        assert peak < 1.5 * state.nbytes
+        # building the RY blocks takes a few tens of KB whatever n is; any
+        # state-sized allocation, a ring gather's included, breaks the bound
+        assert peak < state.nbytes / 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 13])
+    def test_resumed_call_matches_a_call_from_layer_zero(self, n):
+        rng = np.random.default_rng(200 + n)
+        num_layers = 3
+        state = rng.normal(size=2**n)
+        work = np.empty((num_layers + 2, 2**n))
+        first = rng.uniform(-np.pi, np.pi, n * num_layers)
+        for start in range(num_layers + 1):
+            theta = first.copy()
+            theta[start * n :] = rng.uniform(-np.pi, np.pi, (num_layers - start) * n)
+            want = apply_ansatz(state, AnsatzSpec(n, num_layers, theta))
+            apply_ansatz(state, AnsatzSpec(n, num_layers, first), work)
+            got = apply_ansatz(state, AnsatzSpec(n, num_layers, theta), work, start)
+            assert got.tobytes() == want.tobytes()
+
+    def test_resume_arguments_validated(self):
+        ansatz = AnsatzSpec(3, 2, np.ones(6))
+        state = uniform_state(3)
+        with pytest.raises(ValueError, match="work"):
+            apply_ansatz(state, ansatz, start_layer=1)
+        with pytest.raises(ValueError, match="shape"):
+            apply_ansatz(state, ansatz, np.empty((2, 8)))
+        for start in (-1, 3):
+            with pytest.raises(ValueError, match="start_layer"):
+                apply_ansatz(state, ansatz, np.empty((4, 8)), start)
 
     def test_dtype_follows_input(self):
         ansatz = AnsatzSpec(5, 3, np.random.default_rng(3).uniform(-np.pi, np.pi, 15))
@@ -425,7 +453,22 @@ class TestDriverMatchesOracle:
         with pytest.raises(InsufficientSupportError):
             vqe_fixed_count(problem, encoding, **args)
 
-    @pytest.mark.parametrize("num_spins", [1, 2, 3, 4, 5, 8, 12, 16])
+    @pytest.mark.parametrize("num_types", [1, 2], ids=["2-qubits", "3-qubits"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_fixed_count_registers_with_layers_without_a_ring(self, num_types, k):
+        # 2 and 3 qubits: the last of three layers maps every control onto itself
+        catalog = DEFAULT_CATALOG[:num_types]
+        _, _, _, data = side_instance(np.random.default_rng(5), catalog=catalog, grid=(2, 2))
+        problem, encoding = make_problem(data, catalog, num_sensors=k), EncodingMap(2, 2, num_types, 1)
+        assert encoding.num_qubits == num_types + 1
+        for seed in (0, 1):
+            args = dict(optimizer=OptimizerConfig(max_evals=60), shots=200, seed=seed)
+            assert_same_run(
+                vqe_fixed_count(problem, encoding, **args),
+                vqe_fixed_count_loop(problem, encoding, **args),
+            )
+
+    @pytest.mark.parametrize("num_spins", [1, 2, 3, 4, 5, 8, 10, 12, 13, 16])
     def test_ising(self, num_spins):
         rng = np.random.default_rng(num_spins)
         model = ising_model(
@@ -437,7 +480,9 @@ class TestDriverMatchesOracle:
             model = ising_model(np.zeros(4), {})  # all energies tie: the first answer must stay
         _, _, catalog, data = random_instance(rng, num_configs=num_spins)
         energies = basis_energies(model)
-        max_evals = 200 if num_spins <= 8 else 30
+        # COBYLA starts only on 3n + 2 evaluations or more: 50 at 16 spins, the
+        # benchmark's budget; 10 and 13 spins end each layer on a partial RY block
+        max_evals = 200 if num_spins <= 8 else 3 * num_spins + 2
         problem = make_problem(data, catalog, None)
         for seed, shared in ((0, None), (1, energies)):
             args = dict(optimizer=OptimizerConfig(max_evals=max_evals), seed=seed, energies=shared)
@@ -457,6 +502,32 @@ class TestIsingLoop:
         bits = np.zeros(1)
         bits[list(run.result.selected)] = 1
         assert model.energy_of_bits(bits) == -1.0
+
+    @pytest.mark.parametrize("length", [2**3 - 4, 2**3 + 1], ids=["short", "long"])
+    def test_energy_table_of_the_wrong_length_rejected_before_evaluating(self, length, monkeypatch):
+        model = ising_model(np.ones(3), {(0, 1): 0.5})
+        _, _, catalog, data = random_instance(np.random.default_rng(2), num_configs=3)
+        evaluations = []
+        monkeypatch.setattr(vqe, "apply_ansatz", lambda *args: evaluations.append(args))
+        with pytest.raises(ValueError, match="energies"):
+            vqe_ising(model, make_problem(data, catalog, None), seed=0, energies=np.zeros(length))
+        assert evaluations == []
+
+    def test_resumed_evaluations_skip_a_quarter_of_the_layers(self, monkeypatch):
+        # COBYLA's first simplex moves one angle at a time, so most evaluations
+        # share their leading layers with the one before
+        rng = np.random.default_rng(16)
+        model = ising_model(
+            rng.normal(size=16),
+            {(i, j): float(rng.normal()) for i in range(16) for j in range(i + 1, 16)},
+        )
+        _, _, catalog, data = random_instance(rng, num_configs=16)
+        layers = []
+        build = vqe._ry_blocks
+        monkeypatch.setattr(vqe, "_ry_blocks", lambda angles: layers.append(1) or build(angles))
+        run = vqe_ising(model, make_problem(data, catalog, None), optimizer=OptimizerConfig(max_evals=50), seed=0)
+        assert run.num_evals == 51
+        assert len(layers) <= 0.75 * 3 * run.num_evals
 
     def test_zero_model_expectation_is_zero(self):
         model = ising_model(np.zeros(3), {}, 0.0)
