@@ -44,12 +44,13 @@ buffer, which is free once its block is on the tape.
 Results are returned as a :class:`SampleSet`: unique assignments (as
 bits under the x = (1+z)/2 convention), their model energies and their
 multiplicities, sorted by energy.  :func:`best_selection` scores the
-lowest-energy sample through the side's free-count problem.
+lowest-energy sample through the side's free-count problem.  This module
+writes no files: :func:`sensorplace.reporting.write_samples_csv` writes a
+sample set.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import mmap
 from dataclasses import dataclass
@@ -100,13 +101,6 @@ class SampleSet:
 
     def best(self) -> tuple[NDArray[np.uint8], float]:
         return self.assignments[0], float(self.energies[0])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["energy", "multiplicity", "bits"])
-            for bits, e, m in zip(self.assignments, self.energies, self.multiplicities):
-                writer.writerow([repr(float(e)), int(m), "".join(str(int(b)) for b in bits)])
 
 
 def _mapped_buffer(shape: tuple[int, ...]) -> NDArray[np.float64]:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .coverage import limb_total
 from .fixed_count import FixedCountProblem, sensor_count
+from .plain import _fmt
 from .setcover import QuadraticModel
 
 QUBO_COO_SCHEMA = "# sensorplace qubo coo v1"
@@ -30,7 +31,7 @@ def _objective_lines(names, coeffs, per_line: int = 8) -> str:
     parts = []
     for name, c in zip(names, coeffs):
         if c != 0.0:
-            body = f"{repr(abs(float(c)))} {name}"
+            body = f"{_fmt(abs(c))} {name}"
             parts.append(f"- {body}" if c < 0 else f"+ {body}" if parts else body)
     if not parts:
         return "0 " + names[0]
@@ -103,11 +104,11 @@ def write_qubo_coo(fh, model: QuadraticModel) -> None:
     n = model.num_variables
     fh.write(QUBO_COO_SCHEMA + "\n")
     fh.write(f"# variables {n}\n")
-    fh.write(f"# offset {repr(float(model.offset))}\n")
+    fh.write(f"# offset {_fmt(model.offset)}\n")
     fh.write("# i j coefficient of x_i*x_j (i == j rows are linear terms)\n")
     coo = np.triu(2.0 * model.quadratic, 1) + np.diag(model.linear)
     for i, j in zip(*np.nonzero(coo)):
-        fh.write(f"{i} {j} {repr(float(coo[i, j]))}\n")
+        fh.write(f"{i} {j} {_fmt(coo[i, j])}\n")
 
 
 def read_qubo_coo(fh) -> QuadraticModel:

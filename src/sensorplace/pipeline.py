@@ -60,7 +60,9 @@ from .reporting import (
     drop_worst_and_summarize,
     write_adherence_csv,
     write_aggregate_csv,
+    write_samples_csv,
     write_sweep_csv,
+    write_trace_csv,
 )
 from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_catalog, load_roi, read_input, synthetic_grid_shape
 from .setcover import DEFAULT_QUBO_ENUMERATION_BITS, build_iqp, solve_exhaustive_qubo, to_ising
@@ -137,6 +139,12 @@ def validate_inputs(config: RunConfig) -> None:
         raise ConfigError(f"unknown approach {config.approach!r}")
     if not config.solvers:
         raise ConfigError("at least one solver must be selected")
+    # a repeated solver or count would solve again and write its rows twice
+    for name in ("solvers", "sensor_counts"):
+        values = getattr(config, name)
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:
+            raise ConfigError(f"{name} lists {repeated!r} more than once")
     allowed = APPROACH_SOLVERS[config.approach]
     for solver in config.solvers:
         if solver not in allowed:
@@ -299,7 +307,7 @@ def _stochastic_runs(
         vqe_run = run_once(derive_seed(config.seed, *seed_parts, run_index))
         runs.append(vqe_run.result)
         if config.dump_traces:
-            vqe_run.write_trace_csv(out / f"{trace_stem}_r{run_index}.csv")
+            write_trace_csv(out / f"{trace_stem}_r{run_index}.csv", vqe_run.trace)
     _, stats = drop_worst_and_summarize(runs)
     return best_run(runs), stats
 
@@ -363,7 +371,7 @@ def _solve_setcover(
         )
         samples = anneal(ising, schedule)
         if config.dump_samples:
-            samples.to_csv(out / f"samples_{side.value}.csv")
+            write_samples_csv(out / f"samples_{side.value}.csv", samples)
         result = best_selection(samples, problem, seed=schedule.seed)
     else:  # vqe
         ising = to_ising(model)

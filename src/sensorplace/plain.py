@@ -1,4 +1,5 @@
-"""The plain form of config and result dataclasses, and the typed reader back.
+"""The plain form of config and result dataclasses, the typed reader back,
+and the text form of every value an output file holds.
 
 :func:`_plain` writes what JSON and YAML hold: dataclasses become dicts of
 their fields, tuples lists and enum members their values.
@@ -6,10 +7,15 @@ their fields, tuples lists and enum members their values.
 specs and orientation maps, catalog entries, ``selections.json``): it
 converts an int to a float and nothing else.  :func:`_has_type` is the
 check without conversion that ``validate_inputs`` applies.
+
+:func:`_fmt` is the one place a float becomes output text, its shortest
+round-trip ``repr``, in every CSV, LP and QUBO coordinate file, and
+:func:`write_csv` is the one writer of a CSV file.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from types import UnionType
@@ -78,3 +84,24 @@ def _has_type(value, hint) -> bool:
     if hint is float:
         hint = int | float
     return isinstance(value, origin or hint) and (hint is bool or not isinstance(value, bool))
+
+
+def _fmt(value) -> str:
+    """Output text of one value: ``n/a`` for None, the shortest round-trip
+    ``repr`` for any float (numpy scalars included), ``str`` otherwise."""
+    if value is None:
+        return "n/a"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, rows, schema: str | None = None) -> None:
+    """Write a CSV file: the ``schema`` comment line when given, the
+    header, then ``rows`` (any iterable), every cell through :func:`_fmt`."""
+    with open(path, "w", newline="") as fh:
+        if schema is not None:
+            fh.write(schema + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(map(_fmt, row) for row in rows)

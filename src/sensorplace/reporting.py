@@ -1,4 +1,5 @@
-"""Whole-vehicle aggregation, adherence diagnostics, and CSV emission.
+"""Whole-vehicle aggregation, adherence diagnostics, and the layout of
+every CSV that ``solve`` writes.
 
 Per-side results are solved against side-local weighting, so the
 aggregate recomputes the union coverage of every selected sensor over
@@ -13,19 +14,24 @@ the points at or above the criticality threshold, which fraction lies
 inside at least two selected FoVs, and inside FoVs of at least two
 distinct sensor types.  It counts both from the coverage masks of the
 selected sensors over those critical points.
+
+Each CSV writer here only builds the rows of one file, the samples and
+trace dumps included, and :func:`sensorplace.plain.write_csv` writes them.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.typing import NDArray
 
+from .annealer import SampleSet
 from .coverage import build_coverage, exact_union_coverage, union_mask
 from .errors import MissingSideError, NoCriticalPointsError
 from .fixed_count import SelectionResult
 from .geometry import RoiCloud, Side, SIDE_ORDER
+from .plain import write_csv
 
 SWEEP_SCHEMA = "# sensorplace sweep csv v1"
 AGGREGATE_SCHEMA = "# sensorplace aggregate csv v1"
@@ -151,19 +157,11 @@ def best_run(runs: list[SelectionResult]) -> SelectionResult:
 # CSV emission
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "n/a"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _result_cells(r: SelectionResult | None) -> list[str]:
+def _result_cells(r: SelectionResult | None) -> list:
     """Coverage, cost, objective and selected indices of a result, ``n/a`` without one."""
     if r is None:
-        return ["n/a"] * 4
-    return [_fmt(r.coverage), _fmt(r.cost), _fmt(r.objective), " ".join(str(i) for i in r.selected)]
+        return [None] * 4
+    return [r.coverage, r.cost, r.objective, " ".join(map(str, r.selected))]
 
 
 @dataclass(frozen=True)
@@ -178,48 +176,47 @@ class SweepRow:
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
     """One row per sweep entry; the ``RunStats`` columns follow ``selected``,
-    with ``num_runs`` headed "runs"."""
+    with ``num_runs`` headed "runs", and an entry without an error leaves
+    ``error`` empty."""
     stats_columns = [f.name for f in fields(RunStats)]
-    with open(path, "w", newline="") as fh:
-        fh.write(SWEEP_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["side", "n_sensors", "solver", "coverage", "cost", "objective", "selected", "runs"]
-            + stats_columns[1:]
-            + ["error"]
-        )
-        for row in rows:
-            s = row.stats
-            writer.writerow(
-                [row.side.value, _fmt(row.num_sensors), row.solver]
-                + _result_cells(row.result)
-                + [_fmt(getattr(s, name) if s else None) for name in stats_columns]
-                + [row.error or ""]
-            )
+    header = ["side", "n_sensors", "solver", "coverage", "cost", "objective", "selected", "runs"]
+    write_csv(path, header + stats_columns[1:] + ["error"], (
+        [row.side.value, row.num_sensors, row.solver]
+        + _result_cells(row.result)
+        + [getattr(row.stats, name) if row.stats else None for name in stats_columns]
+        + [row.error or ""]
+        for row in rows
+    ), SWEEP_SCHEMA)
 
 
 def write_aggregate_csv(path, reports: dict[str, AggregateReport]) -> None:
-    """One row per (solver, side) plus an aggregate row per solver."""
-    with open(path, "w", newline="") as fh:
-        fh.write(AGGREGATE_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["solver", "side", "coverage", "cost", "objective", "selected"])
+    """One row per (solver, side) plus an aggregate row per solver, whose
+    ``objective`` and ``selected`` are empty."""
+
+    def rows():
         for solver in sorted(reports):
             report = reports[solver]
             for side in SIDE_ORDER:
-                writer.writerow([solver, side.value] + _result_cells(report.per_side[side]))
-            writer.writerow(
-                [solver, "aggregate", _fmt(report.aggregate_coverage), _fmt(report.total_cost), "", ""]
-            )
+                yield [solver, side.value] + _result_cells(report.per_side[side])
+            yield [solver, "aggregate", report.aggregate_coverage, report.total_cost, "", ""]
+
+    write_csv(path, ["solver", "side", "coverage", "cost", "objective", "selected"], rows(), AGGREGATE_SCHEMA)
 
 
 def write_adherence_csv(path, reports: dict[str, AggregateReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(ADHERENCE_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["solver", "two_sensors", "two_distinct_types"])
-        for solver in sorted(reports):
-            report = reports[solver]
-            writer.writerow(
-                [solver, _fmt(report.adherence_two_sensors), _fmt(report.adherence_two_types)]
-            )
+    write_csv(path, ["solver", "two_sensors", "two_distinct_types"], (
+        [solver, reports[solver].adherence_two_sensors, reports[solver].adherence_two_types]
+        for solver in sorted(reports)
+    ), ADHERENCE_SCHEMA)
+
+
+def write_samples_csv(path, samples: SampleSet) -> None:
+    """An annealer sample set, one row per unique assignment in energy order."""
+    bits = ("".join(map(str, row.tolist())) for row in samples.assignments)
+    write_csv(path, ["energy", "multiplicity", "bits"], zip(samples.energies, samples.multiplicities, bits))
+
+
+def write_trace_csv(path, trace: list[tuple[int, float, NDArray[np.float64]]]) -> None:
+    """A variational run's trace: each evaluation's index, objective and angles."""
+    header = ["iteration", "objective"] + [f"theta{i}" for i in range(len(trace[0][2]))]
+    write_csv(path, header, ([it, obj, *theta] for it, obj, theta in trace))

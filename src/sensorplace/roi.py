@@ -32,7 +32,7 @@ import yaml
 
 from .errors import ConfigError, EmptyFileError, RoiParseError
 from .geometry import RoiCloud, SensorSpec, VehicleModel
-from .plain import _from_plain, _plain
+from .plain import _from_plain, _plain, write_csv
 
 ROI_HEADER = ["x", "y", "z", "criticality"]
 
@@ -88,11 +88,7 @@ def load_roi(path) -> RoiCloud:
 
 def save_roi(cloud: RoiCloud, path) -> None:
     """Write a cloud CSV that loads back to bit-identical values."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROI_HEADER)
-        for p, c in zip(cloud.points, cloud.criticality):
-            writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(p[2])), repr(float(c))])
+    write_csv(path, ROI_HEADER, ([*p, c] for p, c in zip(cloud.points, cloud.criticality)))
 
 
 def load_catalog(path) -> tuple[SensorSpec, ...]:

@@ -30,7 +30,7 @@ consecutive qubits are fused into one Kronecker-product block, applied
 with a single matrix product on the state reshaped to
 ``(2^lo, 2^b, rest)``.  A layer's whole CNOT ring is a fixed basis
 permutation, applied as one gather from indices built once per
-(qubit count, layer).  This is the contiguous, fused-gate layout of
+(qubit count, ring shift).  This is the contiguous, fused-gate layout of
 Qulacs (Suzuki et al. 2021) and QuEST (Jones et al. 2019).
 
 A variational run allocates one scratch array of ``num_layers + 2``
@@ -40,11 +40,13 @@ own.  An evaluation whose first layers have the previous evaluation's
 angles, bit for bit, starts at the first layer whose angles changed and
 reads that layer's input from the scratch.  COBYLA's first simplex moves
 one angle at a time, so most of its evaluations skip at least one layer.
+
+This module writes no files: a run's trace is written by
+:func:`sensorplace.reporting.write_trace_csv`.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -144,9 +146,14 @@ def entangler_pairs(num_qubits: int, layer: int) -> list[tuple[int, int]]:
     return [(c, (c + layer + 1) % num_qubits) for c in range(num_qubits)]
 
 
-@functools.lru_cache(maxsize=16)
-def _ring_gather(num_qubits: int, layer: int) -> NDArray[np.intp] | None:
-    """Gather indices of one layer's CNOT ring, or None for a layer without one.
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _ring_gather(num_qubits: int, shift: int) -> NDArray[np.intp] | None:
+    """Gather indices of the CNOT ring ``target = (control + shift) mod n``,
+    or None for a shift of 0, which has no ring.
+
+    A layer's ring depends on the layer only through its shift
+    ``(layer + 1) % n``, so a qubit count has at most n entries, and they
+    all fit in the cache however many layers an ansatz has.
 
     Applying the ring's CNOTs in ascending control order maps basis state
     ``x`` to ``f(x)``; the gathered state ``state[g]`` has ``g = f^-1``,
@@ -154,7 +161,7 @@ def _ring_gather(num_qubits: int, layer: int) -> NDArray[np.intp] | None:
     cache shares the returned array, so no caller may write to it; it stays
     writable because ``np.take`` copies a read-only index array on every call.
     """
-    pairs = entangler_pairs(num_qubits, layer)
+    pairs = entangler_pairs(num_qubits, shift - 1)  # layer shift - 1 has this ring
     if not pairs:
         return None
     gather = np.arange(2**num_qubits, dtype=np.intp)
@@ -194,7 +201,7 @@ def apply_ansatz(
         raise ValueError(f"start_layer must lie in 0..{num_layers}, got {start_layer}")
     out = state if start_layer == 0 else work[start_layer + 1]
     for layer in range(start_layer, num_layers):
-        gather = _ring_gather(n, layer)
+        gather = _ring_gather(n, (layer + 1) % n)
         layer_out = work[layer + 2]
         for i, block in enumerate(_ry_blocks(ansatz.angles[layer * n : (layer + 1) * n])):
             lo = i * _RY_BLOCK_QUBITS
@@ -419,14 +426,6 @@ class VqeRun:
     @property
     def num_evals(self) -> int:
         return len(self.trace)
-
-    def write_trace_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            num_params = len(self.trace[0][2]) if self.trace else 0
-            writer.writerow(["iteration", "objective"] + [f"theta{i}" for i in range(num_params)])
-            for it, obj, theta in self.trace:
-                writer.writerow([it, repr(float(obj))] + [repr(float(t)) for t in theta])
 
 
 # ---------------------------------------------------------------------------

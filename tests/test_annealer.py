@@ -19,6 +19,7 @@ from sensorplace.annealer import (
 from sensorplace.coverage import limb_total
 from sensorplace.fixed_count import make_problem
 from sensorplace.geometry import Side
+from sensorplace.reporting import write_samples_csv
 from sensorplace.setcover import IsingModel, build_iqp, solve_exhaustive_qubo, to_ising
 
 from annealer_oracle import anneal_read_major
@@ -193,7 +194,7 @@ class TestDeterminismAndBookkeeping:
         model = to_ising(random_qubo(rng, 5))
         samples = anneal(model, quick_schedule())
         path = tmp_path / "samples.csv"
-        samples.to_csv(path)
+        write_samples_csv(path, samples)
         lines = path.read_text().splitlines()
         assert lines[0] == "energy,multiplicity,bits"
         assert len(lines) == 1 + len(samples)

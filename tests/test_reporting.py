@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sensorplace.annealer import SampleSet
 from sensorplace.coverage import build_coverage, limb_total
 from sensorplace.errors import MissingSideError, NoCriticalPointsError
 from sensorplace.fixed_count import SelectionResult
@@ -18,6 +19,8 @@ from sensorplace.geometry import (
     partition_roi,
 )
 from sensorplace.reporting import (
+    AggregateReport,
+    RunStats,
     SweepRow,
     adherence,
     aggregate,
@@ -25,8 +28,11 @@ from sensorplace.reporting import (
     drop_worst_and_summarize,
     write_adherence_csv,
     write_aggregate_csv,
+    write_samples_csv,
     write_sweep_csv,
+    write_trace_csv,
 )
+from sensorplace.roi import save_roi
 
 from conftest import random_cloud, random_configs
 
@@ -241,3 +247,91 @@ class TestCsvWriters:
         adh_lines = adh_path.read_text().splitlines()
         assert adh_lines[0] == "# sensorplace adherence csv v1"
         assert len(adh_lines) == 3
+
+
+def csv_text(*lines, schema=None) -> str:
+    """A file's exact text: the schema line ends in a newline, every csv row in CRLF."""
+    return (schema + "\n" if schema else "") + "".join(line + "\r\n" for line in lines)
+
+
+class TestCsvText:
+    """The exact text of every CSV a run writes: floats as their shortest
+    round-trip ``repr`` (also for numpy scalars), None as ``n/a``."""
+
+    RESULT = SelectionResult((1, 2), 0.1 + 0.2, 300.0, -0.5, "vqe", True)
+
+    def test_samples(self, tmp_path):
+        samples = SampleSet(
+            assignments=np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8),
+            energies=np.array([0.1 + 0.2, 2.0]),
+            multiplicities=np.array([3, 1], dtype=np.int64),
+        )
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, samples)
+        assert path.read_bytes().decode() == csv_text(
+            "energy,multiplicity,bits", "0.30000000000000004,3,101", "2.0,1,011"
+        )
+
+    def test_trace(self, tmp_path):
+        trace = [(0, 0.1 + 0.2, np.array([-0.0, 1.5])), (1, np.float64(-1.25), np.array([0.1, -3.0]))]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        assert path.read_bytes().decode() == csv_text(
+            "iteration,objective,theta0,theta1", "0,0.30000000000000004,-0.0,1.5", "1,-1.25,0.1,-3.0"
+        )
+
+    def test_sweep(self, tmp_path):
+        stats = RunStats(3, 1, 0.25, 0.125, 0.5, 300.0, 200.0, 400.0, -0.5, -0.75, -0.25)
+        rows = [
+            SweepRow(Side.FRONT, 2, "vqe", self.RESULT, stats),
+            SweepRow(Side.LEFT, None, "vqe", None),
+            SweepRow(Side.BACK, 3, "exhaustive", None, error="BudgetExceededError: 41664, too many"),
+        ]
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, rows)
+        none = ",n/a" * 15
+        assert path.read_bytes().decode() == csv_text(
+            "side,n_sensors,solver,coverage,cost,objective,selected,runs,dropped_run,"
+            "coverage_mean,coverage_min,coverage_max,cost_mean,cost_min,cost_max,"
+            "objective_mean,objective_min,objective_max,error",
+            "front,2,vqe,0.30000000000000004,300.0,-0.5,1 2,3,1,0.25,0.125,0.5,300.0,200.0,400.0,-0.5,-0.75,-0.25,",
+            f"left,n/a,vqe{none},",
+            f'back,3,exhaustive{none},"BudgetExceededError: 41664, too many"',
+            schema="# sensorplace sweep csv v1",
+        )
+
+    def _reports(self):
+        per_side = {Side.FRONT: self.RESULT, Side.BACK: None, Side.LEFT: self.RESULT, Side.RIGHT: self.RESULT}
+        return {
+            "vqe": AggregateReport(per_side, 900.0, 0.1 + 0.2, 0.75, 1.0),
+            "greedy": AggregateReport(per_side, 900.0, 0.5, None, 0.5),
+        }
+
+    def test_aggregate(self, tmp_path):
+        path = tmp_path / "aggregate.csv"
+        write_aggregate_csv(path, {"vqe": self._reports()["vqe"]})
+        assert path.read_bytes().decode() == csv_text(
+            "solver,side,coverage,cost,objective,selected",
+            "vqe,front,0.30000000000000004,300.0,-0.5,1 2",
+            "vqe,back,n/a,n/a,n/a,n/a",
+            "vqe,left,0.30000000000000004,300.0,-0.5,1 2",
+            "vqe,right,0.30000000000000004,300.0,-0.5,1 2",
+            "vqe,aggregate,0.30000000000000004,900.0,,",
+            schema="# sensorplace aggregate csv v1",
+        )
+
+    def test_adherence(self, tmp_path):
+        path = tmp_path / "adherence.csv"
+        write_adherence_csv(path, self._reports())
+        assert path.read_bytes().decode() == csv_text(
+            "solver,two_sensors,two_distinct_types", "greedy,n/a,0.5", "vqe,0.75,1.0",
+            schema="# sensorplace adherence csv v1",
+        )
+
+    def test_cloud(self, tmp_path):
+        cloud = RoiCloud(np.array([[-0.0, 1.5, 0.1 + 0.2], [2.0, -3.25, 1e-20]]), np.array([1.0, 0.0]))
+        path = tmp_path / "roi.csv"
+        save_roi(cloud, path)
+        assert path.read_bytes().decode() == csv_text(
+            "x,y,z,criticality", "-0.0,1.5,0.30000000000000004,1.0", "2.0,-3.25,1e-20,0.0"
+        )

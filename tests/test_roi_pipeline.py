@@ -212,6 +212,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             validate_config(config)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"solvers": ("greedy", "exhaustive", "greedy")}, "solvers lists 'greedy' more than once"),
+            ({"sensor_counts": (2, 3, 2)}, "sensor_counts lists 2 more than once"),
+        ],
+    )
+    def test_repeated_solver_or_count_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            validate_config(RunConfig(**overrides))
+
     def test_unknown_approach_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(RunConfig(approach="quantum_teleport"))
@@ -755,6 +766,18 @@ class TestCli:
         assert cli_main([*argv, flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+
+    def test_repeated_solver_exits_2_before_coverage(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("coverage was built")
+
+        monkeypatch.setattr(pipeline, "build_coverage", unreachable)
+        out = tmp_path / "out"
+        argv = ["solve", "--grid", "1x2", "--solver", "greedy", "--solver", "greedy",
+                "--min-sensors", "1", "--max-sensors", "2", "--outdir", str(out)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "error: solvers lists 'greedy' more than once\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "approach, solver",

@@ -18,6 +18,7 @@ from sensorplace import vqe
 from sensorplace.errors import InsufficientSupportError
 from sensorplace.geometry import DEFAULT_CATALOG
 from sensorplace.fixed_count import make_problem, solve_exhaustive
+from sensorplace.reporting import write_trace_csv
 from sensorplace.vqe import (
     AnsatzSpec,
     EncodingMap,
@@ -171,7 +172,7 @@ class TestFusedKernelMatchesGateOracle:
     @pytest.mark.parametrize("n, layer", [(1, 0), (1, 3), (2, 1), (2, 3), (3, 2)])
     def test_degenerate_ring_layers_have_no_gather(self, n, layer):
         assert entangler_pairs(n, layer) == []
-        assert _ring_gather(n, layer) is None
+        assert _ring_gather(n, (layer + 1) % n) is None
         rng = np.random.default_rng(n * 10 + layer)
         ansatz = AnsatzSpec(n, layer + 1, rng.uniform(-np.pi, np.pi, n * (layer + 1)))
         psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -189,7 +190,16 @@ class TestFusedKernelMatchesGateOracle:
             want = labels
             for control, target in pairs:
                 want = apply_cnot(want, control, target)
-            assert np.array_equal(labels[_ring_gather(n, layer)], want)
+            assert np.array_equal(labels[_ring_gather(n, (layer + 1) % n)], want)
+
+    def test_ring_gathers_are_built_once_per_shift_past_sixteen_layers(self):
+        n, num_layers = 12, 17
+        ansatz = AnsatzSpec(n, num_layers, np.random.default_rng(3).uniform(-np.pi, np.pi, n * num_layers))
+        _ring_gather.cache_clear()
+        for _ in range(3):
+            apply_ansatz(uniform_state(n), ansatz)
+        # 17 layers share the 12 ring shifts of 12 qubits, and no gather is evicted
+        assert _ring_gather.cache_info().misses == n
 
     def test_shared_work_gives_the_same_state_without_scratch_allocations(self):
         n = 14
@@ -393,7 +403,7 @@ class TestFixedCountLoop:
         encoding = EncodingMap(2, 2, len(catalog), 1)
         run = vqe_fixed_count(problem, encoding, optimizer=OptimizerConfig(max_evals=40), seed=1)
         path = tmp_path / "trace.csv"
-        run.write_trace_csv(path)
+        write_trace_csv(path, run.trace)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("iteration,objective,theta0")
         assert len(lines) == 1 + len(run.trace)
