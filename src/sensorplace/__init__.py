@@ -56,7 +56,7 @@ from .geometry import (
     grid_positions,
     partition_roi,
 )
-from .pipeline import RunConfig, run, validate_config
+from .pipeline import RunConfig, run, validate_inputs
 from .reporting import AggregateReport, adherence, aggregate
 from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_catalog, load_roi, save_roi
 from .setcover import (

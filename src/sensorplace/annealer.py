@@ -240,7 +240,9 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
 
     unique, counts = np.unique(all_bits, axis=0, return_counts=True)
     energies = model.energies(unique.astype(float) * 2.0 - 1.0)
-    order = np.lexsort(tuple(unique[:, c] for c in range(n - 1, -1, -1)) + (energies,))
+    # np.unique returns the rows in ascending bit order, so a stable sort
+    # breaks energy ties toward the smaller bit string
+    order = np.argsort(energies, kind="stable")
     return SampleSet(
         assignments=unique[order],
         energies=energies[order],

@@ -4,8 +4,8 @@ Subcommands: ``gen-roi`` (synthetic cloud to CSV), ``solve`` (full
 pipeline), ``report`` (re-aggregate stored selections), ``export-lp``
 and ``export-qubo`` (one side's model file for external solvers).
 Every subcommand turns its flags into a :class:`RunConfig` the same way
-and resolves its instance through the pipeline; the exports apply the
-input checks of ``solve`` but not its solver size caps.  Flags take
+and resolves its instance through the pipeline; ``solve`` and the
+exports apply the same input checks before any compute.  Flags take
 their defaults from the dataclasses, and comma-separated angle and
 height lists become floats where the flags are read; when ``--config``
 names a YAML file its values override the flags.

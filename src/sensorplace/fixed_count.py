@@ -285,7 +285,7 @@ def solve_greedy(problem: FixedCountProblem) -> SelectionResult:
 
 @dataclass(frozen=True)
 class SweepEntry:
-    num_sensors: int
+    num_sensors: int | None
     result: SelectionResult | None
     error: str | None = None
 
@@ -297,20 +297,20 @@ class SweepOutcome:
 
 
 def sweep_num_sensors(problem: FixedCountProblem, counts, solver=solve_exhaustive) -> SweepOutcome:
-    """Solve the instance once per sensor count; per-count errors are recorded
-    in the entry instead of aborting the sweep."""
-    counts = list(counts)
+    """Solve the instance once per sensor count (None: the count is free);
+    per-count errors are recorded in the entry instead of aborting the sweep."""
+    counts = [None if k is None else int(k) for k in counts]
     if not counts:
         raise ValueError("sweep requires at least one sensor count")
     entries: list[SweepEntry] = []
     best: SelectionResult | None = None
     for k in counts:
         try:
-            res = solver(replace(problem, num_sensors=int(k)))
+            res = solver(replace(problem, num_sensors=k))
         except (SensorPlaceError, ValueError) as exc:
-            entries.append(SweepEntry(int(k), None, f"{type(exc).__name__}: {exc}"))
+            entries.append(SweepEntry(k, None, f"{type(exc).__name__}: {exc}"))
             continue
-        entries.append(SweepEntry(int(k), res))
+        entries.append(SweepEntry(k, res))
         if best is None or res.objective < best.objective:
             best = res
     return SweepOutcome(tuple(entries), best)

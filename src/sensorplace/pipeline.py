@@ -65,16 +65,8 @@ from .reporting import (
     write_trace_csv,
 )
 from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_catalog, load_roi, read_input, synthetic_grid_shape
-from .setcover import DEFAULT_QUBO_ENUMERATION_BITS, build_iqp, solve_exhaustive_qubo, to_ising
-from .vqe import (
-    MAX_QUBITS,
-    AnsatzSpec,
-    EncodingMap,
-    OptimizerConfig,
-    basis_energies,
-    vqe_fixed_count,
-    vqe_ising,
-)
+from .setcover import build_iqp, solve_exhaustive_qubo, to_ising
+from .vqe import AnsatzSpec, EncodingMap, OptimizerConfig, basis_energies, vqe_fixed_count, vqe_ising
 
 #: Orientation sets tilted toward the region each side actually faces
 #: (negative = clockwise from above).
@@ -89,6 +81,11 @@ APPROACH_SOLVERS = {
     "fixed_count": ("exhaustive", "greedy", "vqe"),
     "setcover": ("exhaustive", "anneal", "vqe"),
 }
+
+#: Most candidates one side may have: 16 times the 256 of a 4x4 grid with
+#: free orientations.  Each of its overlap products holds 4096^2 doubles
+#: (128 MiB).
+MAX_CANDIDATES = 4096
 
 
 @dataclass(frozen=True)
@@ -126,9 +123,12 @@ class RunConfig:
 
 
 def validate_inputs(config: RunConfig) -> None:
-    """Reject mistyped values, invalid pairings, oversized synthetic grids,
-    placement grids, orientation sets, solver settings and weights that
-    could overflow a side's model, before any compute."""
+    """Reject, before any compute, mistyped values, invalid pairings,
+    repeated solvers, counts or angles, oversized synthetic grids, invalid
+    placement grids, orientation sets and solver settings, sides of more
+    than :data:`MAX_CANDIDATES` candidates, and weights that could overflow
+    a side's model.  A solver's own size limit is left to its module: a
+    side beyond it gets an error row."""
     hints = get_type_hints(RunConfig)
     for f in fields(RunConfig):
         value, hint = getattr(config, f.name), hints[f.name]
@@ -139,9 +139,11 @@ def validate_inputs(config: RunConfig) -> None:
         raise ConfigError(f"unknown approach {config.approach!r}")
     if not config.solvers:
         raise ConfigError("at least one solver must be selected")
-    # a repeated solver or count would solve again and write its rows twice
-    for name in ("solvers", "sensor_counts"):
-        values = getattr(config, name)
+    # a repeated solver or count would solve again and write its rows twice,
+    # a repeated angle (0 and -0 included) would enumerate each candidate twice
+    named = [("solvers", config.solvers), ("sensor_counts", config.sensor_counts)]
+    named += [(f"side {s.value} orientations", config.side_orientations(s)) for s in SIDE_ORDER]
+    for name, values in named:
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:
             raise ConfigError(f"{name} lists {repeated!r} more than once")
@@ -185,12 +187,17 @@ def validate_inputs(config: RunConfig) -> None:
         angles = config.side_orientations(side)
         if not angles or not np.isfinite(angles).all():
             raise ConfigError(f"side {side.value} needs nonempty finite orientations, got {angles!r}")
-    # every coefficient, energy and partial sum of a side's model over N
-    # candidates is at most 2 N (N coverage_weight + max_cost cost_weight);
-    # a quarter of the float range leaves room for the annealer's factor 2
     catalog = _resolve_catalog(config)
     h, v = config.grid
     candidates = h * v * len(catalog) * max(len(config.side_orientations(s)) for s in SIDE_ORDER)
+    if candidates > MAX_CANDIDATES:
+        raise ConfigError(
+            f"a side of {candidates} candidates exceeds the limit of {MAX_CANDIDATES}; "
+            "shrink the grid, catalog or orientation sets"
+        )
+    # every coefficient, energy and partial sum of a side's model over N
+    # candidates is at most 2 N (N coverage_weight + max_cost cost_weight);
+    # a quarter of the float range leaves room for the annealer's factor 2
     max_cost = max(spec.cost for spec in catalog)
     if not candidates * (candidates * config.coverage_weight + max_cost * config.cost_weight) \
             <= np.finfo(float).max / 4:
@@ -198,33 +205,6 @@ def validate_inputs(config: RunConfig) -> None:
             f"coverage_weight={config.coverage_weight!r} and cost_weight={config.cost_weight!r} "
             f"would overflow a model of {candidates} candidates costing up to {max_cost:g}"
         )
-
-
-def validate_config(config: RunConfig) -> None:
-    """The input checks of :func:`validate_inputs`, then each selected
-    solver's size cap per side, all before any compute."""
-    validate_inputs(config)
-    h, v = config.grid
-    num_types = len(_resolve_catalog(config))
-    for side in SIDE_ORDER:
-        angles = config.side_orientations(side)
-        candidates = h * v * num_types * len(angles)
-        if "vqe" in config.solvers:
-            if config.approach == "setcover":
-                qubits = candidates
-            else:
-                qubits = EncodingMap(h, v, num_types, len(angles)).num_qubits
-            if qubits > MAX_QUBITS:
-                raise ConfigError(
-                    f"vqe on side {side.value} needs {qubits} qubits; the simulator is "
-                    f"capped at {MAX_QUBITS}"
-                )
-        if config.approach == "setcover" and "exhaustive" in config.solvers \
-                and candidates > DEFAULT_QUBO_ENUMERATION_BITS:
-            raise ConfigError(
-                f"exhaustive QUBO search on side {side.value} needs {candidates} bits; "
-                f"it is capped at {DEFAULT_QUBO_ENUMERATION_BITS}"
-            )
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -312,13 +292,11 @@ def _stochastic_runs(
     return best_run(runs), stats
 
 
-def _solve_fixed_count(
-    config: RunConfig, solver: str, side: Side, data: CoverageData, catalog, out: Path
-) -> tuple[SelectionResult | None, list[SweepRow]]:
-    """One side's best result over the sensor-count sweep (None when every
-    count fails), and one sweep row per count."""
+def _fixed_count_sweep(config: RunConfig, solver: str, side: Side, data: CoverageData, catalog, out: Path):
+    """One side's sweep over ``sensor_counts``: its problem, the counts, the
+    solver of one count, and the run statistics that solver records per count."""
     problem = make_problem(data, catalog, None, config.coverage_weight, config.cost_weight)
-    stats: dict[int, RunStats] = {}
+    stats: dict[int | None, RunStats] = {}
     if solver == "exhaustive":
         fn = solve_exhaustive
     elif solver == "greedy":
@@ -343,51 +321,48 @@ def _solve_fixed_count(
             )
             return best
 
-    outcome = sweep_num_sensors(problem, config.sensor_counts, solver=fn)
-    rows = [
-        SweepRow(side, e.num_sensors, solver, e.result, stats.get(e.num_sensors), e.error)
-        for e in outcome.entries
-    ]
-    return outcome.best, rows
+    return problem, config.sensor_counts, fn, stats
 
 
-def _solve_setcover(
-    config: RunConfig, solver: str, side: Side, data: CoverageData, catalog, out: Path
-) -> tuple[SelectionResult, list[SweepRow]]:
-    """One side's free-count result, and its single sweep row."""
+def _setcover_sweep(config: RunConfig, solver: str, side: Side, data: CoverageData, catalog, out: Path):
+    """One side's sweep over the single free count None, in the form of
+    :func:`_fixed_count_sweep`."""
     model = build_iqp(data, catalog, config.coverage_weight, config.cost_weight)
     problem = make_problem(data, catalog, None, config.coverage_weight, config.cost_weight)
-    stats = None
-    if solver == "exhaustive":
-        bits, _energy = solve_exhaustive_qubo(model)
-        result = evaluate_bits(bits, problem, "exhaustive_qubo")
-    elif solver == "anneal":
+    stats: dict[int | None, RunStats] = {}
+
+    def fn(free):
+        if solver == "exhaustive":
+            bits, _energy = solve_exhaustive_qubo(model)
+            return evaluate_bits(bits, free, "exhaustive_qubo")
         ising = to_ising(model)
-        schedule = scaled_schedule(
-            ising,
-            num_reads=config.anneal_reads,
-            sweeps_per_read=config.anneal_sweeps,
-            seed=derive_seed(config.seed, "anneal", side.value),
-        )
-        samples = anneal(ising, schedule)
-        if config.dump_samples:
-            write_samples_csv(out / f"samples_{side.value}.csv", samples)
-        result = best_selection(samples, problem, seed=schedule.seed)
-    else:  # vqe
-        ising = to_ising(model)
+        if solver == "anneal":
+            schedule = scaled_schedule(
+                ising,
+                num_reads=config.anneal_reads,
+                sweeps_per_read=config.anneal_sweeps,
+                seed=derive_seed(config.seed, "anneal", side.value),
+            )
+            samples = anneal(ising, schedule)
+            if config.dump_samples:
+                write_samples_csv(out / f"samples_{side.value}.csv", samples)
+            return best_selection(samples, free, seed=schedule.seed)
+        # vqe
         optimizer = OptimizerConfig(max_evals=config.vqe_max_evals)
         energies = basis_energies(ising)  # shared by every run on this side
-        result, stats = _stochastic_runs(
+        best, stats[None] = _stochastic_runs(
             config,
             lambda seed: vqe_ising(
-                ising, problem, num_layers=config.vqe_layers, optimizer=optimizer,
+                ising, free, num_layers=config.vqe_layers, optimizer=optimizer,
                 seed=seed, energies=energies,
             ),
             ("vqe_ising", side.value),
             f"trace_{solver}_{side.value}",
             out,
         )
-    return result, [SweepRow(side, len(result.selected), solver, result, stats)]
+        return best
+
+    return problem, (None,), fn, stats
 
 
 def load_selections(path) -> dict[str, dict[Side, SelectionResult | None]]:
@@ -415,12 +390,13 @@ def run(config: RunConfig) -> RunOutputs:
     Emits ``sweep.csv``, ``aggregate.csv``, ``adherence.csv``,
     ``selections.json`` and ``manifest.json`` into ``output_dir``.
     A side without coverable points gets one ``n/a`` sweep row per solver,
-    and a side whose every sensor count fails keeps its per-count error
-    rows; either gets a null selection.  The run fails, after writing
-    ``sweep.csv``, only when no solver produced a selection on any side.
+    and a side whose every sensor count fails, a solver's size limit
+    included, keeps its per-count error rows; either gets a null
+    selection.  The run fails, after writing ``sweep.csv``, only when no
+    solver produced a selection on any side, quoting the first error row.
     Deterministic: identical configurations yield byte-identical CSVs.
     """
-    validate_config(config)
+    validate_inputs(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -434,7 +410,7 @@ def run(config: RunConfig) -> RunOutputs:
         except EmptyCloudError as exc:
             empty[side] = f"{type(exc).__name__}: {exc}"
 
-    solve_side = _solve_fixed_count if config.approach == "fixed_count" else _solve_setcover
+    side_sweep = _fixed_count_sweep if config.approach == "fixed_count" else _setcover_sweep
     selections: dict[str, dict[Side, SelectionResult | None]] = {}
     sweep_rows: list[SweepRow] = []
     for solver in config.solvers:
@@ -443,13 +419,24 @@ def run(config: RunConfig) -> RunOutputs:
             if side in empty:
                 per_side[side] = None
                 sweep_rows.append(SweepRow(side, None, solver, None, error=empty[side]))
-            else:
-                per_side[side], rows = solve_side(config, solver, side, sides[side], catalog, out)
-                sweep_rows.extend(rows)
+                continue
+            # a solver error, its size limit included, becomes its count's row
+            problem, counts, fn, stats = side_sweep(config, solver, side, sides[side], catalog, out)
+            outcome = sweep_num_sensors(problem, counts, solver=fn)
+            per_side[side] = outcome.best
+            sweep_rows.extend(
+                SweepRow(side, e.num_sensors if e.result is None else len(e.result.selected), solver,
+                         e.result, stats.get(e.num_sensors), e.error)
+                for e in outcome.entries
+            )
 
     write_sweep_csv(out / "sweep.csv", sweep_rows)
     if all(r is None for per_side in selections.values() for r in per_side.values()):
-        raise InfeasibleError(f"no solver produced a selection on any side; see {out / 'sweep.csv'}")
+        first = next(row for row in sweep_rows if row.error)
+        raise InfeasibleError(
+            f"no solver produced a selection on any side ({out / 'sweep.csv'}); "
+            f"{first.side.value} {first.solver}: {first.error}"
+        )
     reports = write_reports(selections, cloud, catalog, out)
     doc = {solver: _plain(report.per_side) for solver, report in reports.items()}
     (out / "selections.json").write_text(json.dumps(doc, indent=2, sort_keys=True))

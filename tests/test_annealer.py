@@ -103,6 +103,21 @@ class TestDeterminismAndBookkeeping:
         assert np.all(np.diff(samples.energies) >= 0.0)
         assert int(samples.multiplicities.sum()) == 200
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sample_order_is_the_energy_then_bits_lexsort(self, seed):
+        # couplings of -1, 0 or 1 and no fields tie many energies; a hot ramp
+        # keeps many distinct samples, each tie ordered by ascending bits
+        rng = np.random.default_rng(seed)
+        n = 8
+        pairs = {(i, j): float(rng.integers(-1, 2)) for i in range(n) for j in range(i + 1, n)}
+        model = ising_model(np.zeros(n), pairs)
+        schedule = AnnealSchedule(num_reads=300, sweeps_per_read=3, beta_start=0.01, beta_end=0.02, seed=seed)
+        samples = anneal(model, schedule)
+        bits, energies = samples.assignments, samples.energies
+        assert len(np.unique(energies)) < len(samples) - 20
+        lexsort = np.lexsort(tuple(bits[:, c] for c in range(n - 1, -1, -1)) + (energies,))
+        assert lexsort.tolist() == list(range(len(samples)))
+
     def test_pure_descent_at_large_beta(self):
         # effectively zero temperature: final energy never exceeds the
         # energy of the read's own initial state

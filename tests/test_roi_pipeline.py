@@ -25,7 +25,7 @@ from sensorplace.pipeline import (
     derive_seed,
     load_selections,
     run,
-    validate_config,
+    validate_inputs,
 )
 from sensorplace.roi import (
     SyntheticRoiSpec,
@@ -210,28 +210,36 @@ class TestRunConfig:
     def test_invalid_pairing_rejected_before_compute(self):
         config = RunConfig(approach="setcover", solvers=("greedy",))
         with pytest.raises(ConfigError):
-            validate_config(config)
+            validate_inputs(config)
 
     @pytest.mark.parametrize(
         "overrides, message",
         [
             ({"solvers": ("greedy", "exhaustive", "greedy")}, "solvers lists 'greedy' more than once"),
             ({"sensor_counts": (2, 3, 2)}, "sensor_counts lists 2 more than once"),
+            ({"orientations": {s: (0.0, 0.0) for s in Side}}, "side front orientations lists 0.0 more than once"),
+            ({"orientations": {s: (0.0, -0.0) for s in Side}}, "side front orientations lists -0.0 more than once"),
+            ({"orientations": {**{s: (0.0,) for s in Side}, Side.LEFT: (30.0, 0.0, 30.0)}},
+             "side left orientations lists 30.0 more than once"),
         ],
     )
-    def test_repeated_solver_or_count_rejected(self, overrides, message):
+    def test_repeated_value_rejected_before_coverage(self, tmp_path, monkeypatch, overrides, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("coverage was built")
+
+        monkeypatch.setattr(pipeline, "build_coverage", unreachable)
         with pytest.raises(ConfigError, match=message):
-            validate_config(RunConfig(**overrides))
+            run(RunConfig(grid=(1, 2), output_dir=str(tmp_path / "out"), **overrides))
 
     def test_unknown_approach_rejected(self):
         with pytest.raises(ConfigError):
-            validate_config(RunConfig(approach="quantum_teleport"))
+            validate_inputs(RunConfig(approach="quantum_teleport"))
 
     def test_roi_source_must_be_unique(self):
         with pytest.raises(ConfigError):
-            validate_config(RunConfig(roi_path="x.csv", synthetic=SyntheticRoiSpec()))
+            validate_inputs(RunConfig(roi_path="x.csv", synthetic=SyntheticRoiSpec()))
         with pytest.raises(ConfigError):
-            validate_config(RunConfig(roi_path=None, synthetic=None))
+            validate_inputs(RunConfig(roi_path=None, synthetic=None))
 
     def test_orientation_modes(self):
         fixed = RunConfig()
@@ -271,21 +279,37 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             config_from_dict({key: {"bogus_knob": 1}})
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(approach="setcover", solvers=("vqe",)),                       # 64 qubits
-            dict(approach="setcover", solvers=("exhaustive",)),                # 2^64 assignments
-            dict(solvers=("vqe",), grid=(512, 512), orientation_mode="free"),  # 22-qubit encoding
-        ],
-    )
-    def test_solver_size_overruns_rejected_before_coverage(self, tmp_path, monkeypatch, overrides):
+    def test_solver_size_overruns_rejected_before_coverage(self, tmp_path, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("coverage was built")
 
         monkeypatch.setattr(pipeline, "build_coverage", unreachable)
-        with pytest.raises(ConfigError):
+        # 512 x 512 positions x 4 types x 4 angles: above the candidate limit
+        overrides = dict(solvers=("vqe",), grid=(512, 512), orientation_mode="free")
+        with pytest.raises(ConfigError, match="4194304 candidates exceeds the limit of 4096"):
             run(RunConfig(output_dir=str(tmp_path / "out"), **overrides))
+
+    @pytest.mark.parametrize("flags, candidates", [([], 8), (["--orientations", "0,30"], 16)])
+    def test_candidate_limit_boundary(self, tmp_path, capsys, monkeypatch, flags, candidates):
+        # a 1x2 grid of the four default types: 8 candidates per side, 16 with two angles
+        monkeypatch.setattr(pipeline, "MAX_CANDIDATES", candidates)
+        small = ["--grid", "1x2", "--synthetic-extent", "6", "--synthetic-spacing", "1.0", *flags]
+        solve = ["solve", *small, "--solver", "greedy", "--max-sensors", "1", "--outdir", str(tmp_path / "out")]
+        export = ["export-lp", *small, "--num-sensors", "1", "--out", str(tmp_path / "m.lp")]
+        assert cli_main(solve) == 0 and cli_main(export) == 0
+        capsys.readouterr()
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("coverage was built")
+
+        monkeypatch.setattr(pipeline, "build_coverage", unreachable)
+        monkeypatch.setattr(pipeline, "MAX_CANDIDATES", candidates - 1)
+        for argv in (solve, export):
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: a side of {candidates} candidates exceeds the limit of {candidates - 1}; "
+                "shrink the grid, catalog or orientation sets\n"
+            )
 
     @pytest.mark.parametrize(
         "overrides, named",
@@ -307,19 +331,19 @@ class TestRunConfig:
     @pytest.mark.parametrize("weight", ["coverage_weight", "cost_weight"])
     def test_negative_weights_rejected(self, weight):
         with pytest.raises(ConfigError):
-            validate_config(RunConfig(approach="setcover", solvers=("anneal",), **{weight: -1.0}))
+            validate_inputs(RunConfig(approach="setcover", solvers=("anneal",), **{weight: -1.0}))
 
     def test_weight_limit_follows_candidates_and_costs(self):
         # 8 candidates on a 1x2 grid, costing up to 200:
         # 8 * (8 * coverage_weight + 200 * cost_weight) must stay within a
         # quarter of the largest float, about 4.5e307
         small = dict(approach="setcover", solvers=("anneal",), grid=(1, 2))
-        validate_config(RunConfig(cost_weight=2.5e304, **small))
-        validate_config(RunConfig(coverage_weight=6e305, cost_weight=0.0, **small))
+        validate_inputs(RunConfig(cost_weight=2.5e304, **small))
+        validate_inputs(RunConfig(coverage_weight=6e305, cost_weight=0.0, **small))
         with pytest.raises(ConfigError, match="8 candidates costing up to 200"):
-            validate_config(RunConfig(cost_weight=3e304, **small))
+            validate_inputs(RunConfig(cost_weight=3e304, **small))
         with pytest.raises(ConfigError, match="coverage_weight"):
-            validate_config(RunConfig(coverage_weight=8e305, cost_weight=0.0, **small))
+            validate_inputs(RunConfig(coverage_weight=8e305, cost_weight=0.0, **small))
 
     def test_largest_accepted_weights_solve_without_overflow(self, tmp_path):
         # every warning is an error here, so an overflow in any solver fails the run
@@ -767,17 +791,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
-    def test_repeated_solver_exits_2_before_coverage(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--solver", "greedy"], "solvers lists 'greedy' more than once"),
+            (["--orientations", "0,0"], "side front orientations lists 0.0 more than once"),
+            (["--orientations", "0,-0"], "side front orientations lists -0.0 more than once"),
+        ],
+    )
+    def test_repeated_value_exits_2_before_coverage(self, tmp_path, capsys, monkeypatch, flags, message):
         def unreachable(*args, **kwargs):
             raise AssertionError("coverage was built")
 
         monkeypatch.setattr(pipeline, "build_coverage", unreachable)
         out = tmp_path / "out"
-        argv = ["solve", "--grid", "1x2", "--solver", "greedy", "--solver", "greedy",
+        argv = ["solve", "--grid", "1x2", "--solver", "greedy", *flags,
                 "--min-sensors", "1", "--max-sensors", "2", "--outdir", str(out)]
         assert cli_main(argv) == 2
-        assert capsys.readouterr().err == "error: solvers lists 'greedy' more than once\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_side_beyond_the_simulator_gets_vqe_error_rows(self, tmp_path):
+        # 64 spins per side: the annealer solves every side, the 20-qubit simulator none
+        out = tmp_path / "out"
+        argv = ["solve", "--approach", "setcover", "--solver", "anneal", "--solver", "vqe",
+                "--anneal-reads", "50", "--anneal-sweeps", "50", "--outdir", str(out)]
+        assert cli_main(argv) == 0
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()[1:]))
+        anneal_rows = [r for r in rows if r["solver"] == "anneal"]
+        vqe_rows = [r for r in rows if r["solver"] == "vqe"]
+        assert len(anneal_rows) == len(vqe_rows) == 4
+        assert all(r["error"] == "" and r["n_sensors"] != "n/a" for r in anneal_rows)
+        assert all(r["error"].startswith("ValueError: ") and "capped at 20" in r["error"] for r in vqe_rows)
+        assert all(r["n_sensors"] == r["coverage"] == "n/a" for r in vqe_rows)
+        selections = json.loads((out / "selections.json").read_text())
+        assert all(r is None for r in selections["vqe"].values())
+        assert all(r is not None for r in selections["anneal"].values())
 
     @pytest.mark.parametrize(
         "approach, solver",
@@ -875,15 +924,33 @@ class TestCli:
         sweep = list(csv.DictReader((tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]))
         assert {r["error"].split(":")[0] for r in sweep if r["solver"] == "exhaustive"} == {"BudgetExceededError"}
 
-    def test_no_selection_anywhere_exits_2_after_writing_sweep(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            # C(64, 6) selections exceed the fixed-count budget on every side
+            (["--solver", "exhaustive", "--min-sensors", "6", "--max-sensors", "6"],
+             f"BudgetExceededError: exhaustive search would enumerate {math.comb(64, 6)} candidates"),
+            # 8 positions x 4 types = 32 free-count bits, above the 24-bit search
+            (["--approach", "setcover", "--solver", "exhaustive", "--grid", "2x4"],
+             f"BudgetExceededError: exhaustive search would enumerate {2**32} candidates (budget {2**24})"),
+            (["--approach", "setcover", "--solver", "exhaustive"],
+             f"BudgetExceededError: exhaustive search would enumerate {2**64}"),
+            (["--approach", "setcover", "--solver", "vqe"], "ValueError: 64 qubits would need a dense vector"),
+        ],
+    )
+    def test_no_selection_anywhere_exits_2_after_writing_sweep(self, tmp_path, capsys, flags, error):
         out = tmp_path / "out"
-        argv = ["solve", "--grid", "4x4", "--synthetic-extent", "6", "--synthetic-spacing", "1.0",
-                "--min-sensors", "6", "--max-sensors", "6", "--solver", "exhaustive", "--outdir", str(out)]
+        argv = ["solve", "--grid", "4x4", "--synthetic-extent", "6", "--synthetic-spacing", "1.0", *flags,
+                "--outdir", str(out)]
         assert cli_main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
         rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()[1:]))
         assert [r["side"] for r in rows] == [s.value for s in Side]
-        assert all(r["error"].startswith("BudgetExceededError: ") for r in rows)
+        assert all(r["error"].startswith(error) for r in rows)
+        # the reason on stderr is the first error row
+        assert capsys.readouterr().err == (
+            f"error: no solver produced a selection on any side ({out / 'sweep.csv'}); "
+            f"front {rows[0]['solver']}: {rows[0]['error']}\n"
+        )
         assert not (out / "selections.json").exists()
 
     def test_invalid_pairing_fails_cleanly(self, tmp_path):
