@@ -64,6 +64,7 @@ from .setcover import (
     QuadraticModel,
     approx_coverage,
     build_iqp,
+    fix_persistent,
     solve_exhaustive_qubo,
     to_ising,
     to_qubo,

@@ -18,6 +18,7 @@ decodes the nested specs and orientation map of a ``--config`` file.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
@@ -65,7 +66,7 @@ from .reporting import (
     write_trace_csv,
 )
 from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_catalog, load_roi, read_input, synthetic_grid_shape
-from .setcover import build_iqp, solve_exhaustive_qubo, to_ising
+from .setcover import build_iqp, fix_persistent, solve_exhaustive_qubo, to_ising
 from .vqe import AnsatzSpec, EncodingMap, OptimizerConfig, basis_energies, vqe_fixed_count, vqe_ising
 
 #: Orientation sets tilted toward the region each side actually faces
@@ -326,17 +327,20 @@ def _fixed_count_sweep(config: RunConfig, solver: str, side: Side, data: Coverag
 
 def _setcover_sweep(config: RunConfig, solver: str, side: Side, data: CoverageData, catalog, out: Path):
     """One side's sweep over the single free count None, in the form of
-    :func:`_fixed_count_sweep`."""
+    :func:`_fixed_count_sweep`.
+
+    The exhaustive search and the VQE see only the variables that
+    :func:`fix_persistent` leaves free, and their answers are mapped back
+    to the side's candidates; a side with none left gets the fixed bits.
+    The annealer sees the full model.
+    """
     model = build_iqp(data, catalog, config.coverage_weight, config.cost_weight)
     problem = make_problem(data, catalog, None, config.coverage_weight, config.cost_weight)
     stats: dict[int | None, RunStats] = {}
 
     def fn(free):
-        if solver == "exhaustive":
-            bits, _energy = solve_exhaustive_qubo(model)
-            return evaluate_bits(bits, free, "exhaustive_qubo")
-        ising = to_ising(model)
         if solver == "anneal":
+            ising = to_ising(model)
             schedule = scaled_schedule(
                 ising,
                 num_reads=config.anneal_reads,
@@ -347,14 +351,23 @@ def _setcover_sweep(config: RunConfig, solver: str, side: Side, data: CoverageDa
             if config.dump_samples:
                 write_samples_csv(out / f"samples_{side.value}.csv", samples)
             return best_selection(samples, free, seed=schedule.seed)
+        reduced, kept, fixed = fix_persistent(model)
+        tag = "exhaustive_qubo" if solver == "exhaustive" else "vqe_ising"
+        if not kept.size:
+            return evaluate_bits(fixed, free, tag)
+        if solver == "exhaustive":
+            bits = fixed.copy()
+            bits[kept], _energy = solve_exhaustive_qubo(reduced)
+            return evaluate_bits(bits, free, tag)
         # vqe
+        ising = to_ising(reduced)
         optimizer = OptimizerConfig(max_evals=config.vqe_max_evals)
         energies = basis_energies(ising)  # shared by every run on this side
         best, stats[None] = _stochastic_runs(
             config,
             lambda seed: vqe_ising(
                 ising, free, num_layers=config.vqe_layers, optimizer=optimizer,
-                seed=seed, energies=energies,
+                seed=seed, energies=energies, kept=kept, fixed=fixed,
             ),
             ("vqe_ising", side.value),
             f"trace_{solver}_{side.value}",
@@ -382,6 +395,17 @@ def write_reports(selections, cloud: RoiCloud, catalog, out: Path) -> dict[str, 
     write_aggregate_csv(out / "aggregate.csv", reports)
     write_adherence_csv(out / "adherence.csv", reports)
     return reports
+
+
+@functools.cache
+def _scipy_version() -> str:
+    """The installed scipy release, on which COBYLA's answers depend, read
+    from its metadata: without importing scipy, and once per process, since
+    a lookup scans the import path and importing ``importlib.metadata``
+    takes longer still (about 5 ms and 30 ms on a 2-vCPU Xeon)."""
+    from importlib import metadata
+
+    return metadata.version("scipy")
 
 
 def run(config: RunConfig) -> RunOutputs:
@@ -450,6 +474,7 @@ def run(config: RunConfig) -> RunOutputs:
         ).hexdigest(),
         "package_version": __version__,
         "numpy_version": np.__version__,
+        "scipy_version": _scipy_version(),
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))

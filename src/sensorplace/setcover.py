@@ -22,6 +22,13 @@ with zero diagonal, so a spin's local field is one row of ``J``.
 energy expression of each form.  :func:`energy_blocks` tabulates all 2^N
 energies from them: it evaluates each over the two half assignments and
 adds the couplings between the halves, one small matrix product per block.
+
+Every overlap is non-negative, so no coupling of ``build_iqp``'s model is
+negative, and :func:`fix_persistent` settles each variable whose best value
+does not depend on the others before a search.  The exact search and the
+spin VQE spend one bit or qubit per variable it leaves free: on the default
+cloud with fixed orientations it settles the candidates that see no point,
+so a 2x2 side keeps 12 of 16 and a 4x4 side 48 of 64.
 """
 
 from __future__ import annotations
@@ -158,6 +165,40 @@ def variable_name(index: int, cfg, catalog) -> str:
     """Deterministic LP-safe label for one placement candidate."""
     orient = f"{cfg.orientation:g}".replace("-", "m").replace(".", "p")
     return f"x{index}_{catalog[cfg.type_index].name}_{cfg.side.value}_o{orient}"
+
+
+def fix_persistent(model: QuadraticModel) -> tuple[QuadraticModel, NDArray[np.intp], NDArray[np.uint8]]:
+    """The model over the variables first-order persistency leaves free, their
+    indices (ascending) and the full-width bits of the fixed ones.
+
+    With no negative coupling, variable i's marginal energy lies between
+    ``linear_i`` and ``linear_i + 2 sum_j quadratic_ij`` (Hammer, Hansen &
+    Simeone 1984; Boros & Hammer 2002).  A non-negative lower end puts
+    ``x_i = 0`` in the lexicographically smallest minimizer, since clearing
+    the bit raises neither the energy nor the index; a negative upper end
+    puts ``x_i = 1`` in every minimizer and folds it into the offset and the
+    others' linear terms, which can settle more, so the rules repeat until
+    none applies.  The reduced model's smallest minimizer, mapped back, is
+    therefore the full model's, at the same energy.  A model with a negative
+    coupling comes back unchanged.
+    """
+    n = model.num_variables
+    kept, fixed = np.arange(n), np.zeros(n, dtype=np.uint8)
+    if np.any(model.quadratic < 0.0):
+        return model, kept, fixed
+    linear, quadratic, offset = model.linear, model.quadratic, model.offset
+    while True:
+        zero = linear >= 0.0
+        one = linear + 2.0 * quadratic.sum(axis=1) < 0.0
+        if not (zero.any() or one.any()):
+            break
+        fixed[kept[one]] = 1
+        offset += linear[one].sum() + quadratic[np.ix_(one, one)].sum()
+        linear = linear + 2.0 * quadratic[:, one].sum(axis=1)
+        free = ~(zero | one)
+        kept, linear, quadratic = kept[free], linear[free], quadratic[np.ix_(free, free)]
+    names = tuple(model.variable_names[i] for i in kept.tolist())
+    return QuadraticModel(linear, quadratic, float(offset), names), kept, fixed
 
 
 def to_ising(model: QuadraticModel) -> IsingModel:

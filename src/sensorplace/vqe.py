@@ -19,7 +19,8 @@ supplies only the measurement of an ansatz state:
 * spin mode takes the exact expectation of a diagonal spin Hamiltonian
   over the statevector probabilities as its value, answers with the
   best-energy basis state observed along the way, and scores it through
-  the side's free-count problem.
+  the side's free-count problem.  Its qubits are the candidates that
+  :func:`sensorplace.setcover.fix_persistent` leaves free.
 
 Statevector indices read the qubits most-significant first: qubit 0 is
 the leftmost bit of the basis index.
@@ -496,19 +497,26 @@ def vqe_ising(
     optimizer: OptimizerConfig = OptimizerConfig(),
     seed: int = 0,
     energies: NDArray[np.float64] | None = None,
+    kept: NDArray[np.intp] | None = None,
+    fixed: NDArray[np.uint8] | None = None,
 ) -> VqeRun:
     """Variational free-count selection over the spin form of the quadratic model.
 
-    One qubit per candidate; each evaluation's value is the exact expected
-    model energy.  The answer is the best-energy basis state observed, at
-    probability ``OBSERVATION_FLOOR`` or more (the most probable state when
-    none is), scored through ``problem`` (normally free-count) with its exact
-    union coverage.  Repeated runs on one model can share its ``basis_energies``;
+    Spin i stands for candidate ``kept[i]`` (candidate i when ``kept`` is
+    None), and every other candidate takes its bit from ``fixed`` (0 when
+    None), as :func:`~sensorplace.setcover.fix_persistent` returns them.
+    Each evaluation's value is the exact expected model energy.  The
+    answer is the best-energy basis state observed, at probability
+    ``OBSERVATION_FLOOR`` or more (the most probable state when none is),
+    scored through ``problem`` (normally free-count) with its exact union
+    coverage.  Repeated runs on one model can share its ``basis_energies``;
     a table of any other shape than ``(2^n,)`` is rejected before the first
     evaluation.
     """
-    if model.num_spins != problem.data.num_configs:
-        raise ValueError("one spin per candidate required")
+    kept = np.arange(problem.data.num_configs) if kept is None else kept
+    fixed = np.zeros(problem.data.num_configs, dtype=np.uint8) if fixed is None else fixed
+    if len(kept) != model.num_spins or len(fixed) != problem.data.num_configs:
+        raise ValueError("one spin per kept candidate and one fixed bit per candidate required")
     if energies is None:
         energies = basis_energies(model)
     if np.shape(energies) != (2**model.num_spins,):
@@ -527,6 +535,7 @@ def vqe_ising(
         return float(np.einsum("i,i->", probs, energies)), k, energies[k]
 
     state, trace = _minimize_traced(measure, model.num_spins, num_layers, optimizer, seed)
-    bits = enumerate_bits(np.array([state], dtype=np.int64), model.num_spins)[0]
+    bits = np.array(fixed, dtype=np.uint8)
+    bits[kept] = enumerate_bits(np.array([state], dtype=np.int64), model.num_spins)[0]
     result = evaluate_bits(bits, problem, "vqe_ising", seed=seed)
     return VqeRun(result=result, trace=trace)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import importlib.metadata
 import json
 import math
 import shlex
@@ -438,7 +439,42 @@ class TestRunPipeline:
             num_stochastic_runs=3, vqe_max_evals=5,
         )
         run(config)
-        assert calls == [8, 8, 8, 8]  # one per side, not one per run
+        # one per side, not one per run, over the 6 of 8 candidates the model leaves free
+        assert calls == [6, 6, 6, 6]
+
+    @pytest.mark.parametrize(
+        "one_type, cost_weight, selected",
+        [
+            # one candidate per side that sees points and overlaps nothing: set to 1
+            (True, 1e-4, [0]),
+            # every candidate costs more than it covers: all cleared
+            (False, 10.0, []),
+        ],
+    )
+    def test_side_with_every_variable_fixed_gets_the_fixed_bits(
+        self, tmp_path, monkeypatch, one_type, cost_weight, selected
+    ):
+        from sensorplace.roi import save_catalog
+        from conftest import TWO_TYPE_CATALOG
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a search ran on an empty model")
+
+        for name in ("solve_exhaustive_qubo", "basis_energies", "vqe_ising"):
+            monkeypatch.setattr(pipeline, name, unreachable)
+        catalog = {}
+        if one_type:
+            save_catalog(TWO_TYPE_CATALOG[:1], tmp_path / "one_type.yaml")
+            catalog = dict(catalog_path=str(tmp_path / "one_type.yaml"))
+        config = small_config(
+            tmp_path / "out", approach="setcover", solvers=("exhaustive", "vqe"), grid=(1, 1),
+            cost_weight=cost_weight, **catalog,
+        )
+        outputs = run(config)
+        sweep = list(csv.DictReader((tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]))
+        assert len(sweep) == 8 and all(r["error"] == "" for r in sweep)
+        for report in outputs.reports.values():
+            assert all(list(report.per_side[side].selected) == selected for side in Side)
 
     def test_byte_identical_reruns(self, tmp_path):
         config_a = small_config(
@@ -474,6 +510,9 @@ class TestRunPipeline:
         assert manifest["config"]["approach"] == "fixed_count"
         assert manifest["config"]["seed"] == 0
         assert "config_hash" in manifest and "package_version" in manifest
+        assert manifest["numpy_version"] == np.__version__
+        # the VQE's answers depend on COBYLA's, so the manifest names the scipy release
+        assert manifest["scipy_version"] == importlib.metadata.version("scipy")
         # the manifest alone reproduces the run
         rebuilt = config_from_dict(dict(manifest["config"], output_dir=str(tmp_path / "d2")))
         rerun = run(rebuilt)
@@ -812,7 +851,8 @@ class TestCli:
         assert not out.exists()
 
     def test_side_beyond_the_simulator_gets_vqe_error_rows(self, tmp_path):
-        # 64 spins per side: the annealer solves every side, the 20-qubit simulator none
+        # 64 spins per side, 48 of them free: the annealer solves every side, the
+        # 20-qubit simulator none
         out = tmp_path / "out"
         argv = ["solve", "--approach", "setcover", "--solver", "anneal", "--solver", "vqe",
                 "--anneal-reads", "50", "--anneal-sweeps", "50", "--outdir", str(out)]
@@ -930,12 +970,14 @@ class TestCli:
             # C(64, 6) selections exceed the fixed-count budget on every side
             (["--solver", "exhaustive", "--min-sensors", "6", "--max-sensors", "6"],
              f"BudgetExceededError: exhaustive search would enumerate {math.comb(64, 6)} candidates"),
-            # 8 positions x 4 types = 32 free-count bits, above the 24-bit search
-            (["--approach", "setcover", "--solver", "exhaustive", "--grid", "2x4"],
-             f"BudgetExceededError: exhaustive search would enumerate {2**32} candidates (budget {2**24})"),
+            # 12 positions x 4 types = 48 free-count bits, of which the model leaves
+            # 30 free: above the 24-bit search
+            (["--approach", "setcover", "--solver", "exhaustive", "--grid", "3x4"],
+             f"BudgetExceededError: exhaustive search would enumerate {2**30} candidates (budget {2**24})"),
+            # 40 of 64 free
             (["--approach", "setcover", "--solver", "exhaustive"],
-             f"BudgetExceededError: exhaustive search would enumerate {2**64}"),
-            (["--approach", "setcover", "--solver", "vqe"], "ValueError: 64 qubits would need a dense vector"),
+             f"BudgetExceededError: exhaustive search would enumerate {2**40}"),
+            (["--approach", "setcover", "--solver", "vqe"], "ValueError: 40 qubits would need a dense vector"),
         ],
     )
     def test_no_selection_anywhere_exits_2_after_writing_sweep(self, tmp_path, capsys, flags, error):

@@ -20,12 +20,13 @@ from sensorplace.setcover import (
     build_iqp,
     energy_blocks,
     enumerate_bits,
+    fix_persistent,
     solve_exhaustive_qubo,
     to_ising,
     to_qubo,
 )
 
-from conftest import random_instance, side_instance
+from conftest import TWO_TYPE_CATALOG, random_instance, side_instance
 from qubo_oracle import BLOCK, all_energies, solve_exhaustive_qubo_blockwise
 from test_fixed_count import disjoint_instance
 
@@ -318,6 +319,122 @@ class TestEnergyTableMatchesBlockwiseOracle:
         assert energy == -16.0
         assert np.array_equal(bits, enumerate_bits(np.array([BLOCK - 1]), n)[0])
         assert np.array_equal(bits, solve_exhaustive_qubo_blockwise(model)[0])
+
+
+def qubo(linear, pairs: dict[tuple[int, int], float], offset: float = 0.0) -> QuadraticModel:
+    """Binary model with the given linear terms and per-pair values ``{(i, j): quadratic_ij}``."""
+    linear = np.asarray(linear, dtype=float)
+    quadratic = np.zeros((len(linear), len(linear)))
+    for (i, j), value in pairs.items():
+        quadratic[i, j] = quadratic[j, i] = value
+    return QuadraticModel(linear, quadratic, offset, tuple(f"x{i}" for i in range(len(linear))))
+
+
+def expand(reduced_bits, kept, fixed):
+    bits = fixed.copy()
+    bits[kept] = reduced_bits
+    return bits
+
+
+def coverage_models(exact: bool):
+    """Free-count models of up to 20 candidates, with dyadic criticalities
+    when ``exact``; the larger cost weight settles more of them."""
+    models = []
+    for seed, cost_weight in enumerate((1e-4, 1e-3) * 4):
+        rng = np.random.default_rng(3000 + seed)
+        for _, _, catalog, data in (
+            random_instance(rng, num_configs=6 + 2 * seed, exact=exact),
+            side_instance(rng, grid=(2, 2), exact=exact),
+            side_instance(rng, catalog=TWO_TYPE_CATALOG, grid=(2, 3), exact=exact),
+            side_instance(rng, catalog=TWO_TYPE_CATALOG, grid=(1, 4), orientations=(-30.0, 30.0), exact=exact),
+        ):
+            models.append(build_iqp(data, catalog, cost_weight=cost_weight))
+    return models
+
+
+def dyadic_models():
+    """Dyadic models with non-negative couplings on about 40 % of the pairs."""
+    models = []
+    for n in range(1, 21):
+        rng = np.random.default_rng(3100 + n)
+        linear = rng.integers(-2048, 2049, n) / 1024.0
+        upper = np.triu(rng.integers(0, 1025, (n, n)) / 1024.0, 1) * (rng.random((n, n)) < 0.4)
+        quadratic = upper + upper.T
+        models.append(QuadraticModel(linear, quadratic, rng.integers(-8, 9) / 4.0, tuple(f"x{i}" for i in range(n))))
+    return models
+
+
+class TestFixPersistent:
+    @pytest.mark.parametrize("exact", [True, False], ids=["dyadic", "float"])
+    def test_mapped_back_minimizer_is_the_full_search_s(self, exact):
+        # a coverage model divides by the cloud's total criticality, so only
+        # the dyadic models' energies are exact
+        models = [(m, False) for m in coverage_models(exact)] + [(m, True) for m in dyadic_models() if exact]
+        reduced_somewhere = forced_somewhere = False
+        for model, exact_energy in models:
+            reduced, kept, fixed = fix_persistent(model)
+            assert np.array_equal(kept, np.sort(kept)) and not fixed[kept].any()
+            reduced_somewhere |= len(kept) < model.num_variables
+            forced_somewhere |= bool(fixed.any())
+            bits, energy = solve_exhaustive_qubo(model)
+            if not len(kept):
+                assert np.array_equal(fixed, bits)
+                continue
+            reduced_bits, reduced_energy = solve_exhaustive_qubo(reduced)
+            assert np.array_equal(expand(reduced_bits, kept, fixed), bits)
+            if exact_energy:
+                assert reduced_energy == energy
+            else:
+                assert abs(reduced_energy - energy) <= 1e-12 * max(1.0, abs(energy))
+        assert reduced_somewhere and forced_somewhere
+
+    def test_reduced_energies_are_the_full_energies_on_the_kept_bits(self):
+        for model in dyadic_models():
+            reduced, kept, fixed = fix_persistent(model)
+            if len(kept):
+                assignments = all_assignments(len(kept))
+                full = np.array([expand(a, kept, fixed) for a in assignments])
+                assert np.array_equal(reduced.energies(assignments), model.energies(full))
+                assert reduced.variable_names == tuple(model.variable_names[i] for i in kept)
+
+    def test_negative_coupling_comes_back_unreduced(self):
+        # x1 and x2 would be settled if the coupling of x0 and x1 were not negative
+        model = qubo([-1.0, 2.0, -3.0], {(0, 1): -0.5})
+        reduced, kept, fixed = fix_persistent(model)
+        assert reduced is model
+        assert kept.tolist() == [0, 1, 2] and fixed.tolist() == [0, 0, 0]
+
+    def test_forces_a_variable_to_one(self):
+        # x0 lowers the energy whatever the others do: -2 + 2 * 0.25 < 0
+        model = qubo([-2.0, -1.0, -1.0], {(0, 1): 0.25, (1, 2): 1.0}, offset=0.5)
+        reduced, kept, fixed = fix_persistent(model)
+        assert kept.tolist() == [1, 2] and fixed.tolist() == [1, 0, 0]
+        # x0 = 1 folds -2 into the offset and 2 * 0.25 into x1's linear term
+        assert reduced.offset == -1.5
+        assert reduced.linear.tolist() == [-0.5, -1.0]
+        assert reduced.quadratic.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        reduced_bits, energy = solve_exhaustive_qubo(reduced)
+        bits, full_energy = solve_exhaustive_qubo(model)
+        assert expand(reduced_bits, kept, fixed).tolist() == bits.tolist() == [1, 0, 1]
+        assert energy == full_energy == -2.5
+
+    def test_repeats_until_no_rule_applies(self):
+        # pass 1 forces x0 to 1 and so raises x1's linear term to 0.5; pass 2
+        # settles x1 at 0 and so uncouples x2, which pass 3 forces to 1
+        model = qubo([-2.0, -0.5, -0.5], {(0, 1): 0.5, (1, 2): 0.5})
+        reduced, kept, fixed = fix_persistent(model)
+        assert reduced.num_variables == 0 and kept.size == 0
+        assert reduced.offset == -2.5
+        assert fixed.tolist() == [1, 0, 1]
+        bits, energy = solve_exhaustive_qubo(model)
+        assert bits.tolist() == [1, 0, 1] and energy == -2.5
+
+    def test_zero_linear_term_is_settled_at_zero(self):
+        # 0 and 1 tie for x1; the lexicographically smaller minimizer clears it
+        model = qubo([-1.0, 0.0], {})
+        reduced, kept, fixed = fix_persistent(model)
+        assert kept.tolist() == [] and fixed.tolist() == [1, 0]
+        assert solve_exhaustive_qubo(model)[0].tolist() == [1, 0]
 
 
 class TestExports:

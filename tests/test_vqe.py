@@ -19,6 +19,7 @@ from sensorplace.errors import InsufficientSupportError
 from sensorplace.geometry import DEFAULT_CATALOG
 from sensorplace.fixed_count import make_problem, solve_exhaustive
 from sensorplace.reporting import write_trace_csv
+from sensorplace.setcover import build_iqp, fix_persistent, to_ising
 from sensorplace.vqe import (
     AnsatzSpec,
     EncodingMap,
@@ -538,6 +539,27 @@ class TestIsingLoop:
         run = vqe_ising(model, make_problem(data, catalog, None), optimizer=OptimizerConfig(max_evals=50), seed=0)
         assert run.num_evals == 51
         assert len(layers) <= 0.75 * 3 * run.num_evals
+
+    def test_answer_maps_back_through_the_kept_candidates(self):
+        # seed 5 leaves 6 of 10 candidates free and sets 3 of the others to 1
+        _, _, catalog, data = random_instance(np.random.default_rng(5), num_configs=10)
+        model = build_iqp(data, catalog)
+        reduced, kept, fixed = fix_persistent(model)
+        assert len(kept) == 6 and fixed.sum() == 3
+        problem = make_problem(data, catalog, None)
+        ising = to_ising(reduced)
+        run = vqe_ising(ising, problem, optimizer=OptimizerConfig(max_evals=40), seed=0, kept=kept, fixed=fixed)
+        assert len(run.trace[0][2]) == 6 * 3
+        bits = np.zeros(10, dtype=np.uint8)
+        bits[list(run.result.selected)] = 1
+        others = np.setdiff1d(np.arange(10), kept)
+        assert np.array_equal(bits[others], fixed[others])
+        assert model.energy(bits) == pytest.approx(ising.energy_of_bits(bits[kept]), abs=1e-12)
+        # without the map, 6 spins cannot stand for 10 candidates
+        with pytest.raises(ValueError, match="one spin per kept candidate"):
+            vqe_ising(ising, problem, seed=0)
+        with pytest.raises(ValueError, match="one fixed bit per candidate"):
+            vqe_ising(ising, problem, seed=0, kept=kept, fixed=fixed[:-1])
 
     def test_zero_model_expectation_is_zero(self):
         model = ising_model(np.zeros(3), {}, 0.0)
