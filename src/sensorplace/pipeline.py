@@ -7,8 +7,12 @@ whole-vehicle reports.  Everything is seeded: per-task seeds derive
 from the base seed and the task coordinates by hashing, so repeated
 runs with the same configuration produce byte-identical CSV output.
 
-Sides are independent sub-problems; they are solved sequentially here
-but share nothing except immutable inputs.
+Sides are independent sub-problems that share nothing except immutable
+inputs, so each (solver, side) sweep is one task, and :func:`run` solves
+the tasks in forked worker processes, one per CPU it may run on.  The
+tasks write nothing: they hand back their selections, sweep rows,
+annealer samples and VQE traces, and the parent writes every file in
+task order, so the outputs do not depend on the number of workers.
 
 A :class:`RunConfig` and the per-side selections are written in their
 plain form (``manifest.json``, ``selections.json``) and read back
@@ -21,6 +25,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -28,7 +33,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .annealer import AnnealSchedule, anneal, best_selection, scaled_schedule
+from .annealer import AnnealSchedule, SampleSet, anneal, best_selection, scaled_schedule
 from .coverage import CoverageData, build_coverage
 from .errors import ConfigError, EmptyCloudError, InfeasibleError
 from .fixed_count import (
@@ -275,29 +280,31 @@ def _prepare_side(config: RunConfig, cloud: RoiCloud, catalog, side: Side) -> Co
 
 
 def _stochastic_runs(
-    config: RunConfig, run_once, seed_parts: tuple, trace_stem: str, out: Path
+    config: RunConfig, run_once, seed_parts: tuple, trace_stem: str, files: dict
 ) -> tuple[SelectionResult, RunStats]:
     """Best of ``num_stochastic_runs`` seeded runs, and the statistics of the rest.
 
     ``run_once(seed)`` returns a :class:`~sensorplace.vqe.VqeRun`.  Run ``i``
-    is seeded from ``seed_parts + (i,)`` and, with ``dump_traces``, writes
-    its trace to ``<trace_stem>_r<i>.csv``.
+    is seeded from ``seed_parts + (i,)`` and, with ``dump_traces``, records
+    its trace in ``files`` as ``<trace_stem>_r<i>.csv``.
     """
     runs = []
     for run_index in range(config.num_stochastic_runs):
         vqe_run = run_once(derive_seed(config.seed, *seed_parts, run_index))
         runs.append(vqe_run.result)
         if config.dump_traces:
-            write_trace_csv(out / f"{trace_stem}_r{run_index}.csv", vqe_run.trace)
+            files[f"{trace_stem}_r{run_index}.csv"] = vqe_run.trace
     _, stats = drop_worst_and_summarize(runs)
     return best_run(runs), stats
 
 
-def _fixed_count_sweep(config: RunConfig, solver: str, side: Side, data: CoverageData, catalog, out: Path):
+def _fixed_count_sweep(config: RunConfig, solver: str, side: Side, data: CoverageData, catalog):
     """One side's sweep over ``sensor_counts``: its problem, the counts, the
-    solver of one count, and the run statistics that solver records per count."""
+    solver of one count, the run statistics that solver records per count,
+    and the files it records (file name -> content)."""
     problem = make_problem(data, catalog, None, config.coverage_weight, config.cost_weight)
     stats: dict[int | None, RunStats] = {}
+    files: dict[str, SampleSet | list] = {}
     if solver == "exhaustive":
         fn = solve_exhaustive
     elif solver == "greedy":
@@ -318,14 +325,14 @@ def _fixed_count_sweep(config: RunConfig, solver: str, side: Side, data: Coverag
                 ),
                 ("vqe_fc", side.value, k),
                 f"trace_{solver}_{side.value}_k{k}",
-                out,
+                files,
             )
             return best
 
-    return problem, config.sensor_counts, fn, stats
+    return problem, config.sensor_counts, fn, stats, files
 
 
-def _setcover_sweep(config: RunConfig, solver: str, side: Side, data: CoverageData, catalog, out: Path):
+def _setcover_sweep(config: RunConfig, solver: str, side: Side, data: CoverageData, catalog):
     """One side's sweep over the single free count None, in the form of
     :func:`_fixed_count_sweep`.
 
@@ -337,6 +344,7 @@ def _setcover_sweep(config: RunConfig, solver: str, side: Side, data: CoverageDa
     model = build_iqp(data, catalog, config.coverage_weight, config.cost_weight)
     problem = make_problem(data, catalog, None, config.coverage_weight, config.cost_weight)
     stats: dict[int | None, RunStats] = {}
+    files: dict[str, SampleSet | list] = {}
 
     def fn(free):
         if solver == "anneal":
@@ -349,7 +357,7 @@ def _setcover_sweep(config: RunConfig, solver: str, side: Side, data: CoverageDa
             )
             samples = anneal(ising, schedule)
             if config.dump_samples:
-                write_samples_csv(out / f"samples_{side.value}.csv", samples)
+                files[f"samples_{side.value}.csv"] = samples
             return best_selection(samples, free, seed=schedule.seed)
         reduced, kept, fixed = fix_persistent(model)
         tag = "exhaustive_qubo" if solver == "exhaustive" else "vqe_ising"
@@ -371,11 +379,119 @@ def _setcover_sweep(config: RunConfig, solver: str, side: Side, data: CoverageDa
             ),
             ("vqe_ising", side.value),
             f"trace_{solver}_{side.value}",
-            out,
+            files,
         )
         return best
 
-    return problem, (None,), fn, stats
+    return problem, (None,), fn, stats, files
+
+
+def _solve_side(config: RunConfig, solver: str, side: Side, data: CoverageData, catalog):
+    """One task of :func:`run`: a solver's sweep of one side.
+
+    Returns the side's best selection (None when every count failed), its
+    sweep rows and the annealer samples and VQE traces it recorded (file
+    name -> content).  It writes nothing, so it runs alike in a worker
+    process and in-process.
+    """
+    side_sweep = _fixed_count_sweep if config.approach == "fixed_count" else _setcover_sweep
+    # a solver error, its size limit included, becomes its count's row
+    problem, counts, fn, stats, files = side_sweep(config, solver, side, data, catalog)
+    outcome = sweep_num_sensors(problem, counts, solver=fn)
+    rows = [
+        SweepRow(side, e.num_sensors if e.result is None else len(e.result.selected), solver,
+                 e.result, stats.get(e.num_sensors), e.error)
+        for e in outcome.entries
+    ]
+    return outcome.best, rows, files
+
+
+def _worker_count() -> int:
+    """Worker processes a run may use: one per CPU in this process's
+    affinity mask, so ``taskset -c 0`` solves in-process; 1 where the
+    platform has no affinity mask or no ``fork``."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _openblas_libraries() -> list:
+    """A ctypes handle on every OpenBLAS library mapped into this process:
+    numpy's, and scipy's once scipy.linalg is imported."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            # a line's sixth field, when present, is the mapped file's path
+            mappings = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({m[5].strip() for m in mappings if len(m) == 6 and "openblas" in Path(m[5]).name})
+    libraries = []
+    for path in paths:
+        try:
+            libraries.append(ctypes.CDLL(path))
+        except OSError:  # a file replaced since it was mapped
+            pass
+    return libraries
+
+
+def _openblas_entry(library, name: str):
+    """``openblas_<name>`` of one OpenBLAS library under whichever symbol
+    its build exports (numpy's wheels prefix ``scipy_`` and, for 64-bit
+    integers, suffix ``64_``), or None."""
+    for symbol in (f"openblas_{name}", f"openblas_{name}64_",
+                   f"scipy_openblas_{name}", f"scipy_openblas_{name}64_"):
+        if hasattr(library, symbol):
+            return getattr(library, symbol)
+    return None
+
+
+def _openblas_thread_setters() -> list:
+    """``openblas_set_num_threads`` of every OpenBLAS library in this process."""
+    entries = (_openblas_entry(library, "set_num_threads") for library in _openblas_libraries())
+    return [entry for entry in entries if entry is not None]
+
+
+def _one_blas_thread(setters) -> None:
+    """Worker initializer: one OpenBLAS thread per worker.  The workers
+    already keep every CPU busy, and an OpenBLAS that splits each small
+    product across threads then waits for a CPU another worker holds."""
+    for set_num_threads in setters:
+        set_num_threads(1)
+
+
+def _solve_sides(config: RunConfig, tasks, sides: dict[Side, CoverageData], catalog) -> list:
+    """:func:`_solve_side` of every (solver, side) task, in task order.
+
+    The tasks run in a pool of forked worker processes, at most one per
+    task and per CPU (:func:`_worker_count`), each with one OpenBLAS
+    thread.  With one worker, or where no OpenBLAS library is found, they
+    run in-process, in order.  A forked worker sees this module's globals
+    as they were at fork time, and a task looks each solver up among them
+    when it calls it, so a wrapper installed before the run applies in the
+    workers too.
+    """
+    workers = min(_worker_count(), len(tasks))
+    args = [(config, solver, side, sides[side], catalog) for solver, side in tasks]
+    if workers > 1 and "vqe" in config.solvers:
+        # imported once before forking, not once per worker and run
+        import scipy.optimize  # noqa: F401
+    setters = _openblas_thread_setters() if workers > 1 else []
+    if not setters:
+        return [_solve_side(*a) for a in args]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_one_blas_thread, initargs=(setters,),
+    )
+    try:
+        futures = [pool.submit(_solve_side, *a) for a in args]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def load_selections(path) -> dict[str, dict[Side, SelectionResult | None]]:
@@ -434,7 +550,8 @@ def run(config: RunConfig) -> RunOutputs:
         except EmptyCloudError as exc:
             empty[side] = f"{type(exc).__name__}: {exc}"
 
-    side_sweep = _fixed_count_sweep if config.approach == "fixed_count" else _setcover_sweep
+    tasks = [(solver, side) for solver in config.solvers for side in SIDE_ORDER if side not in empty]
+    solved = dict(zip(tasks, _solve_sides(config, tasks, sides, catalog)))
     selections: dict[str, dict[Side, SelectionResult | None]] = {}
     sweep_rows: list[SweepRow] = []
     for solver in config.solvers:
@@ -444,15 +561,11 @@ def run(config: RunConfig) -> RunOutputs:
                 per_side[side] = None
                 sweep_rows.append(SweepRow(side, None, solver, None, error=empty[side]))
                 continue
-            # a solver error, its size limit included, becomes its count's row
-            problem, counts, fn, stats = side_sweep(config, solver, side, sides[side], catalog, out)
-            outcome = sweep_num_sensors(problem, counts, solver=fn)
-            per_side[side] = outcome.best
-            sweep_rows.extend(
-                SweepRow(side, e.num_sensors if e.result is None else len(e.result.selected), solver,
-                         e.result, stats.get(e.num_sensors), e.error)
-                for e in outcome.entries
-            )
+            per_side[side], rows, files = solved[solver, side]
+            sweep_rows.extend(rows)
+            for name, content in files.items():
+                write = write_samples_csv if isinstance(content, SampleSet) else write_trace_csv
+                write(out / name, content)
 
     write_sweep_csv(out / "sweep.csv", sweep_rows)
     if all(r is None for per_side in selections.values() for r in per_side.values()):
