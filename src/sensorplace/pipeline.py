@@ -26,6 +26,7 @@ import functools
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -415,6 +416,19 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _fork_warns() -> bool:
+    """Whether a fork now would warn: Python 3.12 and later do when the
+    process runs more than one OS thread, and OpenBLAS starts a pool of
+    threads when it is loaded (one per CPU unless ``OPENBLAS_NUM_THREADS``
+    says otherwise)."""
+    if sys.version_info < (3, 12):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) > 1
+    except OSError:  # no per-thread listing: assume threads
+        return True
+
+
 def _openblas_libraries() -> list:
     """A ctypes handle on every OpenBLAS library mapped into this process:
     numpy's, and scipy's once scipy.linalg is imported."""
@@ -466,18 +480,20 @@ def _solve_sides(config: RunConfig, tasks, sides: dict[Side, CoverageData], cata
 
     The tasks run in a pool of forked worker processes, at most one per
     task and per CPU (:func:`_worker_count`), each with one OpenBLAS
-    thread.  With one worker, or where no OpenBLAS library is found, they
-    run in-process, in order.  A forked worker sees this module's globals
-    as they were at fork time, and a task looks each solver up among them
-    when it calls it, so a wrapper installed before the run applies in the
-    workers too.
+    thread.  With one worker, where no OpenBLAS library is found, or where
+    a fork would warn (:func:`_fork_warns`), they run in-process, in
+    order.  A forked worker sees this module's globals as they were at
+    fork time, and a task looks each solver up among them when it calls
+    it, so a wrapper installed before the run applies in the workers too;
+    what such a wrapper keeps in memory stays in the worker, so a tracer
+    that must see every call runs the process on one CPU.
     """
     workers = min(_worker_count(), len(tasks))
     args = [(config, solver, side, sides[side], catalog) for solver, side in tasks]
     if workers > 1 and "vqe" in config.solvers:
         # imported once before forking, not once per worker and run
         import scipy.optimize  # noqa: F401
-    setters = _openblas_thread_setters() if workers > 1 else []
+    setters = _openblas_thread_setters() if workers > 1 and not _fork_warns() else []
     if not setters:
         return [_solve_side(*a) for a in args]
     import multiprocessing

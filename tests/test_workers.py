@@ -2,8 +2,9 @@
 
 Every output must be byte-identical whether the tasks run in-process or
 in a pool, a worker's error must reach the caller with its type, no
-worker may outlive its run, each worker must use one OpenBLAS thread,
-and importing the package must not import the process machinery.
+worker may outlive its run, each worker must use one OpenBLAS thread, a
+run must not fork where the fork would warn, and importing the package
+must not import the process machinery.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,8 +66,9 @@ def _sweep_pids(log: Path) -> set[int]:
 
 
 def _pooled() -> bool:
-    """Whether a run may pool here: forking works and an OpenBLAS is found."""
-    return hasattr(os, "fork") and bool(pipeline._openblas_thread_setters())
+    """Whether a run may pool here: forking works without a warning and an
+    OpenBLAS is found."""
+    return hasattr(os, "fork") and not pipeline._fork_warns() and bool(pipeline._openblas_thread_setters())
 
 
 def _assert_same_outputs(config: RunConfig, tmp_path: Path, monkeypatch) -> dict[str, bytes]:
@@ -166,6 +169,8 @@ def test_pooled_task_uses_one_openblas_thread(tmp_path, monkeypatch):
     for set_num_threads in setters:  # so that the workers' one thread is their own setting
         set_num_threads(2)
     try:
+        if pipeline._fork_warns():
+            pytest.skip("runs in-process here: a fork with two OpenBLAS threads would warn")
         run(_greedy_config(tmp_path / "out"))
         parent = _openblas_thread_counts()
     finally:
@@ -175,6 +180,32 @@ def test_pooled_task_uses_one_openblas_thread(tmp_path, monkeypatch):
     assert len(lines) == 4 * 2  # 4 sides x 2 counts
     assert all(int(pid) != os.getpid() and counts == ["1"] * len(setters) for pid, *counts in lines)
     assert parent == [2] * len(setters)
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_warns_from_python_3_12_with_a_second_thread(monkeypatch):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        warns = {}
+        for version in ((3, 11), (3, 12)):
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "version_info", version)
+                warns[version] = pipeline._fork_warns()
+    finally:
+        release.set()
+        thread.join()
+    assert warns == {(3, 11): False, (3, 12): True}
+
+
+def test_tasks_run_in_process_where_a_fork_would_warn(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 2)
+    monkeypatch.setattr(pipeline, "_fork_warns", lambda: True)
+    log = tmp_path / "pids.txt"
+    _log_sweep_pids(monkeypatch, log)
+    run(_greedy_config(tmp_path / "out"))
+    assert _sweep_pids(log) == {os.getpid()}
     assert multiprocessing.active_children() == []
 
 
