@@ -35,6 +35,7 @@ from .pipeline import (
     validate_inputs,
     write_reports,
 )
+from .plain import open_output
 from .roi import SyntheticRoiSpec, generate_synthetic_roi, load_yaml, save_roi
 from .setcover import build_iqp
 
@@ -173,7 +174,7 @@ def _cmd_export_lp(args) -> int:
     else:
         problem = make_problem(data, catalog, None, **weights)
         write = partial(write_iqp_lp, model=build_iqp(data, catalog, **weights), problem=problem)
-    with open(args.out, "w") as fh:
+    with open_output(args.out) as fh:
         write(fh)
     print(f"wrote {config.approach} LP model to {args.out}")
     return 0
@@ -184,7 +185,7 @@ def _cmd_export_qubo(args) -> int:
     model = build_iqp(
         data, catalog, coverage_weight=config.coverage_weight, cost_weight=config.cost_weight
     )
-    with open(args.out, "w") as fh:
+    with open_output(args.out) as fh:
         write_qubo_coo(fh, model)
     print(f"wrote QUBO ({model.num_variables} variables) to {args.out}")
     return 0

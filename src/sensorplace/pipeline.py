@@ -57,7 +57,7 @@ from .geometry import (
     enumerate_configs,
     partition_roi,
 )
-from .plain import _from_plain, _has_type, _plain
+from .plain import _from_plain, _has_type, _plain, make_output_dir, open_output
 from .reporting import (
     AggregateReport,
     RunStats,
@@ -440,7 +440,9 @@ def _openblas_libraries() -> list:
             mappings = [line.split(maxsplit=5) for line in fh]
     except OSError:
         return []
-    paths = sorted({m[5].strip() for m in mappings if len(m) == 6 and "openblas" in Path(m[5]).name})
+    paths = sorted({
+        m[5].strip() for m in mappings if len(m) == 6 and "openblas" in m[5].rpartition("/")[2]
+    })
     libraries = []
     for path in paths:
         try:
@@ -523,7 +525,7 @@ def write_reports(selections, cloud: RoiCloud, catalog, out: Path) -> dict[str, 
     """Aggregate each solver's per-side selections over the full cloud and
     write ``aggregate.csv`` and ``adherence.csv`` into ``out``."""
     reports = {solver: aggregate(per_side, cloud, catalog) for solver, per_side in selections.items()}
-    out.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out)
     write_aggregate_csv(out / "aggregate.csv", reports)
     write_adherence_csv(out / "adherence.csv", reports)
     return reports
@@ -554,7 +556,7 @@ def run(config: RunConfig) -> RunOutputs:
     """
     validate_inputs(config)
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out)
 
     catalog = _resolve_catalog(config)
     cloud = _resolve_cloud(config)
@@ -592,7 +594,8 @@ def run(config: RunConfig) -> RunOutputs:
         )
     reports = write_reports(selections, cloud, catalog, out)
     doc = {solver: _plain(report.per_side) for solver, report in reports.items()}
-    (out / "selections.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    with open_output(out / "selections.json") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True))
 
     resolved = config_to_dict(config)
     resolved.pop("output_dir")  # not semantic: it is where this manifest lives
@@ -606,6 +609,7 @@ def run(config: RunConfig) -> RunOutputs:
         "scipy_version": _scipy_version(),
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    with open_output(manifest_path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
 
     return RunOutputs(reports=reports, sweep_rows=sweep_rows, output_dir=out, manifest_path=manifest_path)

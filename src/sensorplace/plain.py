@@ -10,7 +10,10 @@ check without conversion that ``validate_inputs`` applies.
 
 :func:`_fmt` is the one place a float becomes output text, its shortest
 round-trip ``repr``, in every CSV, LP and QUBO coordinate file, and
-:func:`write_csv` is the one writer of a CSV file.
+:func:`write_csv` is the one writer of a CSV file.  Every output file is
+opened by :func:`open_output` and every output directory made by
+:func:`make_output_dir`, so a path that cannot be written raises
+:class:`ConfigError` naming it, as an unreadable input does.
 """
 
 from __future__ import annotations
@@ -18,8 +21,11 @@ from __future__ import annotations
 import csv
 from dataclasses import fields, is_dataclass
 from enum import Enum
+from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
+
+from .errors import ConfigError
 
 
 def _plain(value):
@@ -96,10 +102,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _unwritable(path, exc: OSError) -> ConfigError:
+    return ConfigError(f"{path}: cannot write: {exc.strerror or exc}")
+
+
+def open_output(path, newline: str | None = None):
+    """``path`` opened for writing text; a path that cannot be written
+    raises ConfigError naming it."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+
+
+def make_output_dir(path) -> None:
+    """Make the directory ``path`` and its parents unless they exist; a
+    path that cannot be made raises ConfigError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+
+
 def write_csv(path, header, rows, schema: str | None = None) -> None:
     """Write a CSV file: the ``schema`` comment line when given, the
     header, then ``rows`` (any iterable), every cell through :func:`_fmt`."""
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         if schema is not None:
             fh.write(schema + "\n")
         writer = csv.writer(fh)

@@ -28,11 +28,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError, EmptyFileError, RoiParseError
 from .geometry import RoiCloud, SensorSpec, VehicleModel
-from .plain import _from_plain, _plain, write_csv
+from .plain import _from_plain, _plain, open_output, write_csv
 
 ROI_HEADER = ["x", "y", "z", "criticality"]
 
@@ -49,6 +48,8 @@ def read_input(path) -> str:
 
 def load_yaml(path):
     """Parsed YAML document of an input file; unreadable or invalid YAML raises ConfigError."""
+    import yaml  # deferred: only config and catalog files need it
+
     text = read_input(path)
     try:
         return yaml.safe_load(text)
@@ -107,7 +108,9 @@ def load_catalog(path) -> tuple[SensorSpec, ...]:
 
 def save_catalog(catalog, path) -> None:
     """Write a catalog YAML that :func:`load_catalog` reads back to ``catalog``."""
-    with open(path, "w") as fh:
+    import yaml
+
+    with open_output(path) as fh:
         yaml.safe_dump({"sensors": [_plain(s) for s in catalog]}, fh, sort_keys=False)
 
 
