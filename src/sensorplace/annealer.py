@@ -18,28 +18,21 @@ number of sweeps does not change the memory used; past ``2**20 / n``
 reads each buffer holds one sweep of every read.  The spin array and one
 generator per read also grow with the number of reads.
 
-A sweep only does sequential work where spins interact:
+A sweep steps every spin in index order.  The field on spin i for every
+read is one product of its contiguous row of the dense symmetric
+coupling matrix with the whole spin array, plus its ``h``; both are
+prescaled by the exact factor -2, each sweep scales the spins by -beta
+once, and accepted flips are applied by sign, not through a mask.
+After a sweep in which no spin flipped in any read, the next one first
+computes every row's field with that same row product and decides them
+all at once.  Until the first flip every field is the one the
+sequential sweep computes, so when nothing is accepted the sweep is
+done, and otherwise it goes on sequentially from the first row that
+flips.
 
-- the coupled core, the spins with a nonzero row of ``J``, is stepped in
-  index order.  The field on a core spin for every read is one product
-  of its contiguous row of the dense symmetric coupling matrix with the
-  whole spin array, plus its ``h``; both are prescaled by the exact
-  factor -2, each sweep scales the spins by -beta once, and accepted
-  flips are applied by sign, not through a mask.  The product keeps its
-  full width: dropping the zero columns of the uncoupled spins would
-  change how BLAS groups the sum, and with it the last bits of fields;
-- an uncoupled spin's field is its own ``h``, and no other spin sees it,
-  so all of them are decided in one vectorised step per sweep;
-- after a sweep in which no core spin flipped in any read, the next one
-  first computes every core row's field with that same row product and
-  decides them all at once.  Until the first flip every field is the one
-  the sequential sweep computes, so when nothing is accepted the sweep
-  is done, and otherwise it goes on sequentially from the first row
-  that flips.
-
-So every accept decision is the one a plain sequential scan of every
-spin makes, bit for bit.  The sweep's scratch rows reuse the drawn
-buffer, which is free once its block is on the tape.
+So every accept decision is the one a plain sequential scan makes, bit
+for bit.  The sweep's scratch rows reuse the drawn buffer, which is
+free once its block is on the tape.
 
 Results are returned as a :class:`SampleSet`: unique assignments (as
 bits under the x = (1+z)/2 convention), their model energies and their
@@ -184,29 +177,23 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
     for r, rng in enumerate(rngs):
         spins[:, r] = rng.integers(0, 2, n) * 2.0 - 1.0
 
-    coupled = model.J.any(axis=1)
-    core, loose = np.flatnonzero(coupled), np.flatnonzero(~coupled)
-    m = len(core)
     # scaling by -2 is exact, so (-2 J_i) s + (-2 h_i) has the bits of -2 (J_i s + h_i)
     J = model.J * -2.0
     h = model.h * -2.0
-    h_core, h_loose = h[core, None], h[loose, None]
-    rows = [(spins[i], J[i], float(h[i]), i) for i in core]
-    loose_spins = spins[loose]
+    rows = [(spins[i], J[i], float(h[i])) for i in range(n)]
 
     block = max(1, min(sweeps, _TAPE_BUDGET // (reads * n)))
     drawn = _mapped_buffer((reads, block, n))
     tape = _mapped_buffer((block, n, reads))
-    # a sweep's scratch rows: -beta * s at its start, the spins before its
-    # coupled steps, and the core's rows, then the uncoupled spins' rows,
-    # of fields, uniforms and -beta * s
+    # a sweep's scratch rows: -beta * s at its start, the spins before it
+    # and the fields of a frozen pass
     scratch = drawn.reshape(-1)
-    if scratch.size < 5 * n * reads:
-        scratch = np.empty(5 * n * reads)
-    scaled, before, fields, uniform_rows, scaled_rows = scratch[: 5 * n * reads].reshape(5, n, reads)
-    flips = np.empty((m, reads), dtype=bool)
+    if scratch.size < 3 * n * reads:
+        scratch = np.empty(3 * n * reads)
+    scaled, before, fields = scratch[: 3 * n * reads].reshape(3, n, reads)
+    flips = np.empty((n, reads), dtype=bool)
     local = np.empty(reads)
-    frozen = False  # no coupled spin flipped in the previous sweep
+    frozen = False  # no spin flipped in the previous sweep
     with np.errstate(over="ignore"):  # a steep downhill move may overflow to inf
         for first in range(0, sweeps, block):
             size = min(block, sweeps - first)
@@ -220,21 +207,13 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
                 # holds -beta * s_i when the sweep reaches it
                 np.multiply(spins, -betas[first + k], out=scaled)
                 uniforms = tape[k]
-                if len(loose):
-                    spins[loose] = _uncoupled_step(
-                        loose_spins, h_loose, _rows(scaled, loose, fields[m:]),
-                        _rows(uniforms, loose, uniform_rows[m:]),
-                    )
                 if frozen:
-                    start = _frozen_pass(
-                        rows, spins, h_core, _rows(scaled, core, scaled_rows[:m]),
-                        _rows(uniforms, core, uniform_rows[:m]), fields[:m], flips,
-                    )
-                    frozen = start == m
-                    _coupled_sweep(rows[start:], spins, scaled, uniforms, local)
+                    start = _frozen_pass(rows, spins, h[:, None], scaled, uniforms, fields, flips)
+                    frozen = start == n
+                    _sweep(rows, start, spins, scaled, uniforms, local)
                 else:
                     np.copyto(before, spins)
-                    _coupled_sweep(rows, spins, scaled, uniforms, local)
+                    _sweep(rows, 0, spins, scaled, uniforms, local)
                     frozen = np.array_equal(spins, before)
     all_bits = (spins.T > 0.0).astype(np.uint8)
 
@@ -257,21 +236,15 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
 # f * (-beta * s_i) >= 0, so exp >= 1 > u and it needs no clamp at 0.
 
 
-def _coupled_sweep(rows, spins, scaled, uniforms, work) -> None:
-    """Step coupled spins in index order; each sees every earlier flip."""
-    for s, J_row, h_i, i in rows:
+def _sweep(rows, start, spins, scaled, uniforms, work) -> None:
+    """Step spins ``start``, ``start + 1``, ... in order; each sees every earlier flip."""
+    for i in range(start, len(rows)):
+        s, J_row, h_i = rows[i]
         np.matmul(J_row, spins, out=work)
         work += h_i
         work *= scaled[i]
         np.exp(work, out=work)
         _flip_accepted(s, uniforms[i], work)
-
-
-def _uncoupled_step(spins, h, scaled, uniforms):
-    """Step every uncoupled spin at once, each in its field ``h``."""
-    work = np.multiply(scaled, h, out=scaled)
-    np.exp(work, out=work)
-    return _flip_accepted(spins, uniforms, work)
 
 
 def _flip_accepted(s, u, e):
@@ -286,19 +259,14 @@ def _flip_accepted(s, u, e):
     return np.copysign(s, e, out=s)
 
 
-def _rows(a, index, out):
-    """Rows ``index`` of ``a`` gathered into ``out`` (unbuffered: ``index`` is in range)."""
-    return np.take(a, index, axis=0, out=out, mode="clip")
-
-
 def _frozen_pass(rows, spins, h, scaled, uniforms, field, accept) -> int:
-    """The first coupled row that any read flips in this sweep, or ``len(rows)``.
+    """The first row that any read flips in this sweep, or ``len(rows)``.
 
     Until a spin flips, every row's field is the one the sequential
     sweep computes, by the same row product, so the decisions up to and
     including the first flip are the sequential sweep's own.
     """
-    for (_, J_row, _, _), out in zip(rows, field):
+    for (_, J_row, _), out in zip(rows, field):
         np.matmul(J_row, spins, out=out)
     field += h
     field *= scaled

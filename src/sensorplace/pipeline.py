@@ -337,19 +337,27 @@ def _setcover_sweep(config: RunConfig, solver: str, side: Side, data: CoverageDa
     """One side's sweep over the single free count None, in the form of
     :func:`_fixed_count_sweep`.
 
-    The exhaustive search and the VQE see only the variables that
-    :func:`fix_persistent` leaves free, and their answers are mapped back
-    to the side's candidates; a side with none left gets the fixed bits.
-    The annealer sees the full model.
+    Every solver sees only the variables that :func:`fix_persistent` leaves
+    free, and its answer is mapped back to the side's candidates; a side
+    with none left gets the fixed bits.  The annealer's samples are widened
+    back to one bit per candidate before they are recorded or scored.
     """
     model = build_iqp(data, catalog, config.coverage_weight, config.cost_weight)
     problem = make_problem(data, catalog, None, config.coverage_weight, config.cost_weight)
+    reduced, kept, fixed = fix_persistent(model)
     stats: dict[int | None, RunStats] = {}
     files: dict[str, SampleSet | list] = {}
 
     def fn(free):
+        tag = {"exhaustive": "exhaustive_qubo", "anneal": "anneal", "vqe": "vqe_ising"}[solver]
+        if not kept.size:
+            return evaluate_bits(fixed, free, tag)
+        if solver == "exhaustive":
+            bits = fixed.copy()
+            bits[kept], _energy = solve_exhaustive_qubo(reduced)
+            return evaluate_bits(bits, free, tag)
+        ising = to_ising(reduced)
         if solver == "anneal":
-            ising = to_ising(model)
             schedule = scaled_schedule(
                 ising,
                 num_reads=config.anneal_reads,
@@ -357,19 +365,14 @@ def _setcover_sweep(config: RunConfig, solver: str, side: Side, data: CoverageDa
                 seed=derive_seed(config.seed, "anneal", side.value),
             )
             samples = anneal(ising, schedule)
+            # the settled bits are the same in every sample, so the order stays
+            bits = np.tile(fixed, (len(samples), 1))
+            bits[:, kept] = samples.assignments
+            samples = SampleSet(bits, samples.energies, samples.multiplicities)
             if config.dump_samples:
                 files[f"samples_{side.value}.csv"] = samples
             return best_selection(samples, free, seed=schedule.seed)
-        reduced, kept, fixed = fix_persistent(model)
-        tag = "exhaustive_qubo" if solver == "exhaustive" else "vqe_ising"
-        if not kept.size:
-            return evaluate_bits(fixed, free, tag)
-        if solver == "exhaustive":
-            bits = fixed.copy()
-            bits[kept], _energy = solve_exhaustive_qubo(reduced)
-            return evaluate_bits(bits, free, tag)
         # vqe
-        ising = to_ising(reduced)
         optimizer = OptimizerConfig(max_evals=config.vqe_max_evals)
         energies = basis_energies(ising)  # shared by every run on this side
         best, stats[None] = _stochastic_runs(
@@ -522,10 +525,10 @@ def load_selections(path) -> dict[str, dict[Side, SelectionResult | None]]:
 
 
 def write_reports(selections, cloud: RoiCloud, catalog, out: Path) -> dict[str, AggregateReport]:
-    """Aggregate each solver's per-side selections over the full cloud and
-    write ``aggregate.csv`` and ``adherence.csv`` into ``out``."""
-    reports = {solver: aggregate(per_side, cloud, catalog) for solver, per_side in selections.items()}
+    """Make ``out``, then aggregate each solver's per-side selections over
+    the full cloud and write ``aggregate.csv`` and ``adherence.csv`` into it."""
     make_output_dir(out)
+    reports = {solver: aggregate(per_side, cloud, catalog) for solver, per_side in selections.items()}
     write_aggregate_csv(out / "aggregate.csv", reports)
     write_adherence_csv(out / "adherence.csv", reports)
     return reports

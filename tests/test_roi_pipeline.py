@@ -444,6 +444,44 @@ class TestRunPipeline:
         # one per side, not one per run, over the 6 of 8 candidates the model leaves free
         assert calls.read_text().split() == ["6"] * 4
 
+    def test_annealer_samples_the_reduced_model(self, tmp_path, monkeypatch):
+        from sensorplace.geometry import SIDE_ORDER
+        from sensorplace.setcover import build_iqp, fix_persistent
+
+        models = []
+
+        def recorded(model, schedule):
+            models.append(model)
+            return original(model, schedule)
+
+        original = pipeline.anneal
+        monkeypatch.setattr(pipeline, "_worker_count", lambda: 1)  # record in this process
+        monkeypatch.setattr(pipeline, "anneal", recorded)
+        config = small_config(
+            tmp_path / "a", approach="setcover", solvers=("anneal",), anneal_reads=60,
+            anneal_sweeps=40, dump_samples=True,
+        )
+        run(config)
+        assert len(models) == 4
+        catalog = pipeline._resolve_catalog(config)
+        cloud = pipeline._resolve_cloud(config)
+        for side, model in zip(SIDE_ORDER, models):
+            data = pipeline._prepare_side(config, cloud, catalog, side)
+            full = build_iqp(data, catalog, config.coverage_weight, config.cost_weight)
+            _, kept, fixed = fix_persistent(full)
+            # only the free variables are annealed, and every one of them is coupled
+            assert model.num_spins == len(kept) < data.num_configs
+            assert model.J.any(axis=1).all()
+            text = (tmp_path / "a" / f"samples_{side.value}.csv").read_text()
+            rows = list(csv.DictReader(text.splitlines()))
+            bits = np.array([[int(c) for c in row["bits"]] for row in rows], dtype=np.uint8)
+            assert bits.shape == (len(rows), data.num_configs)
+            settled = np.setdiff1d(np.arange(data.num_configs), kept)
+            assert (bits[:, settled] == fixed[settled]).all()
+            energies = np.array([float(row["energy"]) for row in rows])
+            assert np.abs(energies - full.energies(bits)).max() <= 1e-9
+            assert sum(int(row["multiplicity"]) for row in rows) == config.anneal_reads
+
     @pytest.mark.parametrize(
         "one_type, cost_weight, selected",
         [
@@ -462,21 +500,24 @@ class TestRunPipeline:
         def unreachable(*args, **kwargs):
             raise AssertionError("a search ran on an empty model")
 
-        for name in ("solve_exhaustive_qubo", "basis_energies", "vqe_ising"):
+        for name in ("solve_exhaustive_qubo", "anneal", "basis_energies", "vqe_ising"):
             monkeypatch.setattr(pipeline, name, unreachable)
         catalog = {}
         if one_type:
             save_catalog(TWO_TYPE_CATALOG[:1], tmp_path / "one_type.yaml")
             catalog = dict(catalog_path=str(tmp_path / "one_type.yaml"))
         config = small_config(
-            tmp_path / "out", approach="setcover", solvers=("exhaustive", "vqe"), grid=(1, 1),
-            cost_weight=cost_weight, **catalog,
+            tmp_path / "out", approach="setcover", solvers=("exhaustive", "anneal", "vqe"), grid=(1, 1),
+            cost_weight=cost_weight, dump_samples=True, **catalog,
         )
         outputs = run(config)
         sweep = list(csv.DictReader((tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]))
-        assert len(sweep) == 8 and all(r["error"] == "" for r in sweep)
+        assert len(sweep) == 12 and all(r["error"] == "" for r in sweep)
         for report in outputs.reports.values():
             assert all(list(report.per_side[side].selected) == selected for side in Side)
+        # nothing was sampled, so there is no seed and no samples file
+        assert all(r.seed is None for r in outputs.reports["anneal"].per_side.values())
+        assert not list((tmp_path / "out").glob("samples_*"))
 
     def test_byte_identical_reruns(self, tmp_path):
         config_a = small_config(
@@ -591,7 +632,9 @@ class TestCli:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        assert not out.exists()
+        # the output directory is made before any aggregation, so an error
+        # found while aggregating leaves it empty
+        assert not out.exists() or not any(out.iterdir())
 
     def test_exports(self, tmp_path):
         lp = tmp_path / "model.lp"

@@ -374,6 +374,9 @@ class TestFixPersistent:
         for model, exact_energy in models:
             reduced, kept, fixed = fix_persistent(model)
             assert np.array_equal(kept, np.sort(kept)) and not fixed[kept].any()
+            # linear < 0 <= linear + 2 sum_j q_ij leaves every kept variable
+            # coupled, so the annealer never gets an uncoupled spin
+            assert reduced.quadratic.any(axis=1).all()
             reduced_somewhere |= len(kept) < model.num_variables
             forced_somewhere |= bool(fixed.any())
             bits, energy = solve_exhaustive_qubo(model)

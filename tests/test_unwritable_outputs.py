@@ -55,18 +55,27 @@ def test_unwritable_solve_outdir_exits_2_before_coverage(tmp_path, capsys, monke
     _assert_exit_2(["solve", *SMALL, "--solver", "greedy", "--outdir", str(path)], path, capsys)
 
 
-def test_unwritable_report_outdir_exits_2(tmp_path, capsys):
+def test_unwritable_report_outdir_exits_2_before_aggregating(tmp_path, capsys, monkeypatch):
     roi = tmp_path / "roi.csv"
     assert cli_main(["gen-roi", "--extent", "6", "--spacing", "1.0", "--out", str(roi)]) == 0
     solved = tmp_path / "solved"
     argv = ["solve", "--roi", str(roi), "--grid", "1x2", "--solver", "greedy", "--max-sensors", "1"]
     assert cli_main([*argv, "--outdir", str(solved)]) == 0
     capsys.readouterr()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = pipeline.aggregate
+    monkeypatch.setattr(pipeline, "aggregate", counted)
     path = _unwritable(tmp_path, "under-file")
     _assert_exit_2(
         ["report", "--selections", str(solved / "selections.json"), "--roi", str(roi), "--outdir", str(path)],
         path, capsys,
     )
+    assert calls == []
 
 
 def test_run_raises_config_error_for_an_unwritable_output_dir(tmp_path):
