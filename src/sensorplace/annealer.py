@@ -10,29 +10,22 @@ batched or how its draws are blocked.
 
 All reads advance together.  Spins are stored spin-major, as an
 ``(n, reads)`` array.  Uniforms are drawn one block of sweeps at a time
-into a reused ``(reads, block, n)`` buffer and transposed once per block,
-a few reads at a time, into an ``(block, n, reads)`` tape, so each
-proposal reads one contiguous row.  A block is as many sweeps as fit in
-``_TAPE_BUDGET`` doubles (8 MB) per buffer, and at least one, so the
-number of sweeps does not change the memory used; past ``2**20 / n``
-reads each buffer holds one sweep of every read.  The spin array and one
-generator per read also grow with the number of reads.
+into a reused ``(reads, block, n)`` buffer, each read's generator
+filling its own rows, and each proposal reads its uniforms where they
+were drawn, as the strided column ``drawn[:, k, i]``.  A block is as
+many sweeps as fit in ``_TAPE_BUDGET`` doubles (8 MB), and at least
+one, so the number of sweeps does not change the memory used; past
+``2**20 / n`` reads the buffer holds one sweep of every read.  The spin
+array, one scratch array of its shape and one generator per read also
+grow with the number of reads.
 
 A sweep steps every spin in index order.  The field on spin i for every
 read is one product of its contiguous row of the dense symmetric
 coupling matrix with the whole spin array, plus its ``h``; both are
 prescaled by the exact factor -2, each sweep scales the spins by -beta
-once, and accepted flips are applied by sign, not through a mask.
-After a sweep in which no spin flipped in any read, the next one first
-computes every row's field with that same row product and decides them
-all at once.  Until the first flip every field is the one the
-sequential sweep computes, so when nothing is accepted the sweep is
-done, and otherwise it goes on sequentially from the first row that
-flips.
-
-So every accept decision is the one a plain sequential scan makes, bit
-for bit.  The sweep's scratch rows reuse the drawn buffer, which is
-free once its block is on the tape.
+once, and accepted flips are applied by sign, not through a mask, so
+every accept decision is the one a plain sequential scan makes, bit for
+bit.
 
 Results are returned as a :class:`SampleSet`: unique assignments (as
 bits under the x = (1+z)/2 convention), their model energies and their
@@ -54,7 +47,7 @@ from numpy.typing import NDArray
 from .fixed_count import FixedCountProblem, SelectionResult, evaluate_bits
 from .setcover import IsingModel
 
-# Memory cap for each of the two uniform block buffers (doubles).
+# Memory cap for the uniform block buffer (doubles).
 _TAPE_BUDGET = 1 << 20
 
 
@@ -184,37 +177,23 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
 
     block = max(1, min(sweeps, _TAPE_BUDGET // (reads * n)))
     drawn = _mapped_buffer((reads, block, n))
-    tape = _mapped_buffer((block, n, reads))
-    # a sweep's scratch rows: -beta * s at its start, the spins before it
-    # and the fields of a frozen pass
-    scratch = drawn.reshape(-1)
-    if scratch.size < 3 * n * reads:
-        scratch = np.empty(3 * n * reads)
-    scaled, before, fields = scratch[: 3 * n * reads].reshape(3, n, reads)
-    flips = np.empty((n, reads), dtype=bool)
-    local = np.empty(reads)
-    frozen = False  # no spin flipped in the previous sweep
+    scaled = np.empty((n, reads))
+    work = np.empty(reads)
     with np.errstate(over="ignore"):  # a steep downhill move may overflow to inf
         for first in range(0, sweeps, block):
             size = min(block, sweeps - first)
             for r, rng in enumerate(rngs):
                 rng.random(out=drawn[r, :size])
-            # 32 reads at a time: each source row stays in cache while it is spread
-            for r in range(0, reads, 32):
-                tape[:size, :, r : r + 32] = drawn[r : r + 32, :size].transpose(1, 2, 0)
             for k in range(size):
                 # a spin changes only at its own step, so its row still
                 # holds -beta * s_i when the sweep reaches it
                 np.multiply(spins, -betas[first + k], out=scaled)
-                uniforms = tape[k]
-                if frozen:
-                    start = _frozen_pass(rows, spins, h[:, None], scaled, uniforms, fields, flips)
-                    frozen = start == n
-                    _sweep(rows, start, spins, scaled, uniforms, local)
-                else:
-                    np.copyto(before, spins)
-                    _sweep(rows, 0, spins, scaled, uniforms, local)
-                    frozen = np.array_equal(spins, before)
+                for i, (s, J_row, h_i) in enumerate(rows):
+                    np.matmul(J_row, spins, out=work)
+                    work += h_i
+                    work *= scaled[i]
+                    np.exp(work, out=work)
+                    _flip_accepted(s, drawn[:, k, i], work)
     all_bits = (spins.T > 0.0).astype(np.uint8)
 
     unique, counts = np.unique(all_bits, axis=0, return_counts=True)
@@ -229,22 +208,11 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
     )
 
 
-# Every step below takes the prescaled field f = -2 (J_i s + h_i) and
+# Each step of a sweep takes the prescaled field f = -2 (J_i s + h_i) and
 # accepts a flip iff u < exp(f * (-beta * s_i)), which has the bits of
 # exp(-beta * max(-2 s_i (J_i s + h_i), 0)) for an uphill move: the
 # products by s_i = +-1 and by -2 are exact.  A downhill move has
 # f * (-beta * s_i) >= 0, so exp >= 1 > u and it needs no clamp at 0.
-
-
-def _sweep(rows, start, spins, scaled, uniforms, work) -> None:
-    """Step spins ``start``, ``start + 1``, ... in order; each sees every earlier flip."""
-    for i in range(start, len(rows)):
-        s, J_row, h_i = rows[i]
-        np.matmul(J_row, spins, out=work)
-        work += h_i
-        work *= scaled[i]
-        np.exp(work, out=work)
-        _flip_accepted(s, uniforms[i], work)
 
 
 def _flip_accepted(s, u, e):
@@ -257,23 +225,6 @@ def _flip_accepted(s, u, e):
     np.subtract(u, e, out=e)
     e *= s
     return np.copysign(s, e, out=s)
-
-
-def _frozen_pass(rows, spins, h, scaled, uniforms, field, accept) -> int:
-    """The first row that any read flips in this sweep, or ``len(rows)``.
-
-    Until a spin flips, every row's field is the one the sequential
-    sweep computes, by the same row product, so the decisions up to and
-    including the first flip are the sequential sweep's own.
-    """
-    for (_, J_row, _), out in zip(rows, field):
-        np.matmul(J_row, spins, out=out)
-    field += h
-    field *= scaled
-    np.exp(field, out=field)
-    np.less(uniforms, field, out=accept)
-    flipped = accept.any(axis=1)
-    return int(flipped.argmax()) if flipped.any() else len(rows)
 
 
 def best_selection(

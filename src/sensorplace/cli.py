@@ -99,7 +99,10 @@ def _run_config(args) -> RunConfig:
     """The ``RunConfig`` of the flags; absent flags keep the dataclass defaults.
 
     Values of a ``--config`` YAML file override the flags.  An angle
-    list given to ``--orientations`` applies to every side.
+    list given to ``--orientations`` applies to every side.  A file that
+    names ``orientation_mode`` replaces a flag-given angle list, and one
+    that names ``roi_path`` or ``synthetic`` decides the cloud source: the
+    key it leaves out is None.
     """
     values = _flag_values(args, RunConfig)
     values["vehicle"] = _flag_values(args, VehicleModel, "vehicle_")
@@ -121,6 +124,8 @@ def _run_config(args) -> RunConfig:
             raise ConfigError(f"{args.config}: expected a mapping of run-config fields")
         if "orientation_mode" in doc:
             values.pop("orientations", None)
+        if "roi_path" in doc or "synthetic" in doc:
+            values["roi_path"] = values["synthetic"] = None
         values.update(doc)  # file values override flags
     return config_from_dict(values)
 

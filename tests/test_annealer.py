@@ -69,7 +69,7 @@ class TestDeterminismAndBookkeeping:
     @pytest.mark.parametrize("sweeps_per_block", [1, 3, 7])
     def test_sweep_blocks_do_not_change_samples(self, monkeypatch, sweeps_per_block):
         # 20 sweeps drawn in blocks of 1, 3 or 7 (the last block of 3 or 7
-        # is shorter and reuses the front of the buffers) match the
+        # is shorter and reuses the front of the buffer) match the
         # single-block run
         rng = np.random.default_rng(5)
         model = to_ising(random_qubo(rng, 8))
@@ -80,6 +80,23 @@ class TestDeterminismAndBookkeeping:
         assert np.array_equal(whole.assignments, blocked.assignments)
         assert np.array_equal(whole.energies, blocked.energies)
         assert np.array_equal(whole.multiplicities, blocked.multiplicities)
+
+    def test_each_anneal_maps_one_uniform_buffer(self, monkeypatch):
+        # every proposal reads its uniforms where they were drawn, so an
+        # anneal maps one (reads, block, n) buffer and no second copy
+        sizes = []
+        mapped = annealer._mapped_buffer
+
+        def recorded(shape):
+            sizes.append(math.prod(shape))
+            return mapped(shape)
+
+        monkeypatch.setattr(annealer, "_mapped_buffer", recorded)
+        model = to_ising(random_qubo(np.random.default_rng(8), 8))
+        anneal(model, quick_schedule(seed=3, reads=31, sweeps=20))
+        monkeypatch.setattr(annealer, "_TAPE_BUDGET", 7 * 31 * 8)
+        anneal(model, quick_schedule(seed=3, reads=31, sweeps=20))
+        assert sizes == [31 * 20 * 8, 31 * 7 * 8]
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(1)
@@ -253,7 +270,7 @@ class TestMatchesReadMajorOracle:
         self.assert_same(ising_model(np.array([h]), {}, 0.25), quick_schedule(seed=2, reads=30, sweeps=25))
 
     def test_sweeps_not_a_multiple_of_the_block(self, monkeypatch):
-        # 7 + 7 + 7 + 2 sweeps; the short last block reuses the buffers' front
+        # 7 + 7 + 7 + 2 sweeps; the short last block reuses the buffer's front
         rng = np.random.default_rng(1500)
         model = to_ising(random_qubo(rng, 11, dyadic=True))
         schedule = quick_schedule(seed=6, reads=25, sweeps=23)
@@ -288,23 +305,6 @@ class TestMatchesReadMajorOracle:
         _, _, catalog, data = side_instance(rng, catalog=TWO_TYPE_CATALOG, side=side)
         model = to_ising(build_iqp(data, catalog, cost_weight=0.0))
         self.assert_same(model, scaled_schedule(model, num_reads=50, sweeps_per_read=40, seed=4))
-
-    def test_frozen_sweeps_take_one_pass(self, monkeypatch):
-        starts = []
-        one_pass = annealer._frozen_pass
-
-        def recorded(*args):
-            starts.append(one_pass(*args))
-            return starts[-1]
-
-        monkeypatch.setattr(annealer, "_frozen_pass", recorded)
-        rng = np.random.default_rng(1702)
-        model = to_ising(random_qubo(rng, 10, dyadic=True))
-        self.assert_same(model, scaled_schedule(model, num_reads=30, sweeps_per_read=60, seed=2))
-        # some sweeps are decided in one pass, and in some a sweep that
-        # looked frozen flips a spin past its first row and goes on sequentially
-        assert 10 in starts
-        assert any(0 < start < 10 for start in starts)
 
     def test_float_four_by_four_side_model(self):
         # 64 spins with float couplings: field sums are rounded, and the

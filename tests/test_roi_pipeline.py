@@ -694,6 +694,39 @@ class TestCli:
         assert manifest["config"]["solvers"] == ["greedy"]
         assert manifest["config"]["grid"] == [2, 2]
 
+    def test_config_file_roi_path_replaces_the_default_synthetic_cloud(self, tmp_path):
+        # the file's roi_path decides the cloud source, so the flags' default
+        # synthetic spec gives way and the run solves the file's cloud
+        roi = tmp_path / "roi.csv"
+        assert cli_main(["gen-roi", "--out", str(roi), "--extent", "6", "--spacing", "1.0"]) == 0
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({"roi_path": str(roi), "grid": [1, 2], "solvers": ["greedy"],
+                                       "sensor_counts": [1]}))
+        out = tmp_path / "out"
+        flags = ["--grid", "1x2", "--solver", "greedy", "--max-sensors", "1", "--outdir", str(out)]
+        assert cli_main(["solve", "--roi", str(roi), *flags]) == 0
+        expected = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert cli_main(["solve", "--config", str(cfg), "--outdir", str(out)]) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == expected
+
+    def test_config_file_synthetic_replaces_a_flag_roi(self, tmp_path):
+        roi = tmp_path / "roi.csv"
+        roi.write_text("x,y,z,criticality\n5.0,0.0,1.0,0.5\n")  # one point, on the front side only
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({"synthetic": {"extent": 6.0, "spacing": 1.0}, "grid": [1, 2],
+                                       "solvers": ["greedy"], "sensor_counts": [1]}))
+        out = tmp_path / "out"
+        assert cli_main(["solve", "--roi", str(roi), "--config", str(cfg), "--outdir", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["roi_path"] is None and config["synthetic"]["extent"] == 6.0
+
+    def test_config_file_naming_both_cloud_sources_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({"roi_path": "roi.csv", "synthetic": {"extent": 6.0}, "grid": [1, 2],
+                                       "solvers": ["greedy"], "sensor_counts": [1]}))
+        assert cli_main(["solve", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+        assert "exactly one of roi_path and synthetic" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv, expected",
         [
