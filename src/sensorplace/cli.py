@@ -98,7 +98,8 @@ def _flag_values(args, cls, prefix: str = "") -> dict:
 def _run_config(args) -> RunConfig:
     """The ``RunConfig`` of the flags; absent flags keep the dataclass defaults.
 
-    Values of a ``--config`` YAML file override the flags.  An angle
+    Values of a ``--config`` YAML file override the flags, a nested spec
+    map only the fields it names (:func:`config_from_dict`).  An angle
     list given to ``--orientations`` applies to every side.  A file that
     names ``orientation_mode`` replaces a flag-given angle list, and one
     that names ``roi_path`` or ``synthetic`` decides the cloud source: the
@@ -118,16 +119,16 @@ def _run_config(args) -> RunConfig:
         values["orientations"] = {side.value: angles for side in SIDE_ORDER}
     if hasattr(args, "min_sensors"):
         values["sensor_counts"] = list(range(args.min_sensors, args.max_sensors + 1))
-    if getattr(args, "config", None):
-        doc = load_yaml(args.config) or {}
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{args.config}: expected a mapping of run-config fields")
-        if "orientation_mode" in doc:
-            values.pop("orientations", None)
-        if "roi_path" in doc or "synthetic" in doc:
-            values["roi_path"] = values["synthetic"] = None
-        values.update(doc)  # file values override flags
-    return config_from_dict(values)
+    config = config_from_dict(values)
+    if not getattr(args, "config", None):
+        return config
+    doc = load_yaml(args.config) or {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{args.config}: expected a mapping of run-config fields")
+    cleared = {"orientations": None} if "orientation_mode" in doc else {}
+    if "roi_path" in doc or "synthetic" in doc:
+        cleared.update(roi_path=None, synthetic=None)
+    return config_from_dict({**cleared, **doc}, base=config)
 
 
 def _side_instance(args):

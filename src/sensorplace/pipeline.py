@@ -8,11 +8,12 @@ from the base seed and the task coordinates by hashing, so repeated
 runs with the same configuration produce byte-identical CSV output.
 
 Sides are independent sub-problems that share nothing except immutable
-inputs, so each (solver, side) sweep is one task, and :func:`run` solves
-the tasks in forked worker processes, one per CPU it may run on.  The
-tasks write nothing: they hand back their selections, sweep rows,
-annealer samples and VQE traces, and the parent writes every file in
-task order, so the outputs do not depend on the number of workers.
+inputs, so each (solver, side) sweep is one task, done whole by one
+function, :func:`_solve_side`, and :func:`run` solves the tasks in forked
+worker processes, one per CPU it may run on.  The tasks write nothing:
+they hand back their selections, sweep rows, annealer samples and VQE
+traces, and the parent writes every file in task order, so the outputs
+do not depend on the number of workers.
 
 A :class:`RunConfig` and the per-side selections are written in their
 plain form (``manifest.json``, ``selections.json``) and read back
@@ -27,7 +28,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -225,11 +226,12 @@ def config_to_dict(config: RunConfig) -> dict:
     return _plain(config)
 
 
-def config_from_dict(d: dict) -> RunConfig:
-    """Inverse of :func:`config_to_dict`; absent keys keep the dataclass defaults.
+def config_from_dict(d: dict, base: RunConfig = RunConfig()) -> RunConfig:
+    """Inverse of :func:`config_to_dict`; absent keys keep the values of ``base``.
 
-    A nested ``synthetic`` or ``vehicle`` map overrides its default's
-    fields, and it and an ``orientations`` map decode through
+    A nested ``synthetic`` or ``vehicle`` map overrides the fields it
+    names of ``base``'s spec, or of the dataclass default where that spec
+    is None, and it and an ``orientations`` map decode through
     :func:`_from_plain`, naming the field of a value that does not fit.
     Other values are kept as given (a list becomes a tuple);
     :func:`validate_inputs` checks their types.
@@ -244,13 +246,14 @@ def config_from_dict(d: dict) -> RunConfig:
         default = defaults[name]
         try:
             if isinstance(value, dict) and is_dataclass(default):
-                value = _from_plain({**_plain(default), **value}, type(default))
+                spec = default if getattr(base, name) is None else getattr(base, name)
+                value = _from_plain({**_plain(spec), **value}, type(default))
             elif name == "orientations" and isinstance(value, dict):
                 value = _from_plain(value, hints[name])
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from None
         kwargs[name] = tuple(value) if isinstance(value, list) else value
-    return RunConfig(**kwargs)
+    return replace(base, **kwargs)
 
 
 @dataclass
@@ -280,127 +283,86 @@ def _prepare_side(config: RunConfig, cloud: RoiCloud, catalog, side: Side) -> Co
     return build_coverage(cloud.side_cloud(side), configs, catalog)
 
 
-def _stochastic_runs(
-    config: RunConfig, run_once, seed_parts: tuple, trace_stem: str, files: dict
-) -> tuple[SelectionResult, RunStats]:
-    """Best of ``num_stochastic_runs`` seeded runs, and the statistics of the rest.
-
-    ``run_once(seed)`` returns a :class:`~sensorplace.vqe.VqeRun`.  Run ``i``
-    is seeded from ``seed_parts + (i,)`` and, with ``dump_traces``, records
-    its trace in ``files`` as ``<trace_stem>_r<i>.csv``.
-    """
-    runs = []
-    for run_index in range(config.num_stochastic_runs):
-        vqe_run = run_once(derive_seed(config.seed, *seed_parts, run_index))
-        runs.append(vqe_run.result)
-        if config.dump_traces:
-            files[f"{trace_stem}_r{run_index}.csv"] = vqe_run.trace
-    _, stats = drop_worst_and_summarize(runs)
-    return best_run(runs), stats
-
-
-def _fixed_count_sweep(config: RunConfig, solver: str, side: Side, data: CoverageData, catalog):
-    """One side's sweep over ``sensor_counts``: its problem, the counts, the
-    solver of one count, the run statistics that solver records per count,
-    and the files it records (file name -> content)."""
-    problem = make_problem(data, catalog, None, config.coverage_weight, config.cost_weight)
-    stats: dict[int | None, RunStats] = {}
-    files: dict[str, SampleSet | list] = {}
-    if solver == "exhaustive":
-        fn = solve_exhaustive
-    elif solver == "greedy":
-        fn = solve_greedy
-    else:  # vqe: the best of the seeded runs is the count's result
-        encoding = EncodingMap(
-            config.grid[0], config.grid[1], len(catalog), len(config.side_orientations(side)),
-        )
-        optimizer = OptimizerConfig(max_evals=config.vqe_max_evals)
-
-        def fn(prob_k):
-            k = prob_k.num_sensors
-            best, stats[k] = _stochastic_runs(
-                config,
-                lambda seed: vqe_fixed_count(
-                    prob_k, encoding, num_layers=config.vqe_layers, optimizer=optimizer,
-                    shots=config.shots, seed=seed,
-                ),
-                ("vqe_fc", side.value, k),
-                f"trace_{solver}_{side.value}_k{k}",
-                files,
-            )
-            return best
-
-    return problem, config.sensor_counts, fn, stats, files
-
-
-def _setcover_sweep(config: RunConfig, solver: str, side: Side, data: CoverageData, catalog):
-    """One side's sweep over the single free count None, in the form of
-    :func:`_fixed_count_sweep`.
-
-    Every solver sees only the variables that :func:`fix_persistent` leaves
-    free, and its answer is mapped back to the side's candidates; a side
-    with none left gets the fixed bits.  The annealer's samples are widened
-    back to one bit per candidate before they are recorded or scored.
-    """
-    model = build_iqp(data, catalog, config.coverage_weight, config.cost_weight)
-    problem = make_problem(data, catalog, None, config.coverage_weight, config.cost_weight)
-    reduced, kept, fixed = fix_persistent(model)
-    stats: dict[int | None, RunStats] = {}
-    files: dict[str, SampleSet | list] = {}
-
-    def fn(free):
-        tag = {"exhaustive": "exhaustive_qubo", "anneal": "anneal", "vqe": "vqe_ising"}[solver]
-        if not kept.size:
-            return evaluate_bits(fixed, free, tag)
-        if solver == "exhaustive":
-            bits = fixed.copy()
-            bits[kept], _energy = solve_exhaustive_qubo(reduced)
-            return evaluate_bits(bits, free, tag)
-        ising = to_ising(reduced)
-        if solver == "anneal":
-            schedule = scaled_schedule(
-                ising,
-                num_reads=config.anneal_reads,
-                sweeps_per_read=config.anneal_sweeps,
-                seed=derive_seed(config.seed, "anneal", side.value),
-            )
-            samples = anneal(ising, schedule)
-            # the settled bits are the same in every sample, so the order stays
-            bits = np.tile(fixed, (len(samples), 1))
-            bits[:, kept] = samples.assignments
-            samples = SampleSet(bits, samples.energies, samples.multiplicities)
-            if config.dump_samples:
-                files[f"samples_{side.value}.csv"] = samples
-            return best_selection(samples, free, seed=schedule.seed)
-        # vqe
-        optimizer = OptimizerConfig(max_evals=config.vqe_max_evals)
-        energies = basis_energies(ising)  # shared by every run on this side
-        best, stats[None] = _stochastic_runs(
-            config,
-            lambda seed: vqe_ising(
-                ising, free, num_layers=config.vqe_layers, optimizer=optimizer,
-                seed=seed, energies=energies, kept=kept, fixed=fixed,
-            ),
-            ("vqe_ising", side.value),
-            f"trace_{solver}_{side.value}",
-            files,
-        )
-        return best
-
-    return problem, (None,), fn, stats, files
-
-
 def _solve_side(config: RunConfig, solver: str, side: Side, data: CoverageData, catalog):
     """One task of :func:`run`: a solver's sweep of one side.
 
+    ``fixed_count`` sweeps ``sensor_counts``; ``setcover`` sweeps the single
+    free count None, where every solver sees only the variables that
+    :func:`fix_persistent` leaves free and its answer is mapped back to
+    the side's candidates (a side with none left gets the fixed bits).
     Returns the side's best selection (None when every count failed), its
     sweep rows and the annealer samples and VQE traces it recorded (file
     name -> content).  It writes nothing, so it runs alike in a worker
     process and in-process.
     """
-    side_sweep = _fixed_count_sweep if config.approach == "fixed_count" else _setcover_sweep
+    problem = make_problem(data, catalog, None, config.coverage_weight, config.cost_weight)
+    stats: dict[int | None, RunStats] = {}
+    files: dict[str, SampleSet | list] = {}
+
+    def vqe_runs(k, vqe, *args, **kwargs) -> SelectionResult:
+        """Best of the seeded runs ``vqe(*args, **kwargs)`` of count ``k``;
+        records their statistics as ``stats[k]`` and, with ``dump_traces``,
+        their traces."""
+        if k is None:
+            tag, coords, stem = "vqe_ising", (side.value,), f"trace_vqe_{side.value}"
+        else:
+            tag, coords, stem = "vqe_fc", (side.value, k), f"trace_vqe_{side.value}_k{k}"
+        optimizer = OptimizerConfig(max_evals=config.vqe_max_evals)
+        runs = []
+        for i in range(config.num_stochastic_runs):
+            vqe_run = vqe(*args, num_layers=config.vqe_layers, optimizer=optimizer,
+                          seed=derive_seed(config.seed, tag, *coords, i), **kwargs)
+            runs.append(vqe_run.result)
+            if config.dump_traces:
+                files[f"{stem}_r{i}.csv"] = vqe_run.trace
+        _, stats[k] = drop_worst_and_summarize(runs)
+        return best_run(runs)
+
+    if config.approach == "fixed_count":
+        counts = config.sensor_counts
+        if solver == "exhaustive":
+            fn = solve_exhaustive
+        elif solver == "greedy":
+            fn = solve_greedy
+        else:  # vqe: the best of the seeded runs is the count's result
+            encoding = EncodingMap(
+                config.grid[0], config.grid[1], len(catalog), len(config.side_orientations(side)),
+            )
+
+            def fn(prob_k):
+                return vqe_runs(prob_k.num_sensors, vqe_fixed_count, prob_k, encoding, shots=config.shots)
+    else:
+        counts = (None,)
+        reduced, kept, fixed = fix_persistent(
+            build_iqp(data, catalog, config.coverage_weight, config.cost_weight)
+        )
+
+        def fn(free):
+            tag = {"exhaustive": "exhaustive_qubo", "anneal": "anneal", "vqe": "vqe_ising"}[solver]
+            if not kept.size:
+                return evaluate_bits(fixed, free, tag)
+            if solver == "exhaustive":
+                bits = fixed.copy()
+                bits[kept], _energy = solve_exhaustive_qubo(reduced)
+                return evaluate_bits(bits, free, tag)
+            ising = to_ising(reduced)
+            if solver == "anneal":
+                schedule = scaled_schedule(
+                    ising, num_reads=config.anneal_reads, sweeps_per_read=config.anneal_sweeps,
+                    seed=derive_seed(config.seed, "anneal", side.value),
+                )
+                samples = anneal(ising, schedule)
+                # the settled bits are the same in every sample, so the order stays
+                bits = np.tile(fixed, (len(samples), 1))
+                bits[:, kept] = samples.assignments
+                samples = SampleSet(bits, samples.energies, samples.multiplicities)
+                if config.dump_samples:
+                    files[f"samples_{side.value}.csv"] = samples
+                return best_selection(samples, free, seed=schedule.seed)
+            energies = basis_energies(ising)  # shared by every run on this side
+            return vqe_runs(None, vqe_ising, ising, free, energies=energies, kept=kept, fixed=fixed)
+
     # a solver error, its size limit included, becomes its count's row
-    problem, counts, fn, stats, files = side_sweep(config, solver, side, data, catalog)
     outcome = sweep_num_sensors(problem, counts, solver=fn)
     rows = [
         SweepRow(side, e.num_sensors if e.result is None else len(e.result.selected), solver,
@@ -481,7 +443,7 @@ def _one_blas_thread(setters) -> None:
 
 
 def _solve_sides(config: RunConfig, tasks, sides: dict[Side, CoverageData], catalog) -> list:
-    """:func:`_solve_side` of every (solver, side) task, in task order.
+    """:func:`_solve_side`, the one task function, of every (solver, side) task, in order.
 
     The tasks run in a pool of forked worker processes, at most one per
     task and per CPU (:func:`_worker_count`), each with one OpenBLAS

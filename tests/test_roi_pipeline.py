@@ -482,6 +482,44 @@ class TestRunPipeline:
             assert np.abs(energies - full.energies(bits)).max() <= 1e-9
             assert sum(int(row["multiplicity"]) for row in rows) == config.anneal_reads
 
+    def test_solvers_are_pipeline_globals_with_the_documented_seeds(self, tmp_path, monkeypatch):
+        # a task looks every solver up among the pipeline's globals when it
+        # calls it; VQE run i of count k is seeded by ("vqe_fc", side, k, i),
+        # of the free count by ("vqe_ising", side, i), the annealer by ("anneal", side)
+        from sensorplace.geometry import SIDE_ORDER
+
+        calls: dict[str, list] = {}
+
+        def recorded(name, original):
+            def solver(*args, **kwargs):
+                calls.setdefault(name, []).append((args, kwargs))
+                return original(*args, **kwargs)
+            return solver
+
+        monkeypatch.setattr(pipeline, "_worker_count", lambda: 1)  # record in this process
+        names = ("solve_exhaustive", "solve_greedy", "vqe_fixed_count", "solve_exhaustive_qubo", "anneal", "vqe_ising")
+        for name in names:
+            monkeypatch.setattr(pipeline, name, recorded(name, getattr(pipeline, name)))
+        seed, runs, sides = 7, range(2), [side.value for side in SIDE_ORDER]
+        common = dict(grid=(1, 2), seed=seed, num_stochastic_runs=len(runs), vqe_max_evals=30, dump_traces=True)
+        run(small_config(tmp_path / "fc", solvers=("exhaustive", "greedy", "vqe"), **common))
+        run(small_config(tmp_path / "sc", approach="setcover", solvers=("exhaustive", "anneal", "vqe"),
+                         anneal_reads=20, anneal_sweeps=20, **common))
+        assert set(calls) == set(names)
+        assert [kwargs["seed"] for _, kwargs in calls["vqe_fixed_count"]] == [
+            derive_seed(seed, "vqe_fc", side, k, i) for side in sides for k in (1, 2) for i in runs
+        ]
+        assert [kwargs["seed"] for _, kwargs in calls["vqe_ising"]] == [
+            derive_seed(seed, "vqe_ising", side, i) for side in sides for i in runs
+        ]
+        assert [args[1].seed for args, _ in calls["anneal"]] == [derive_seed(seed, "anneal", side) for side in sides]
+        assert {path.name for path in (tmp_path / "fc").glob("trace_*")} == {
+            f"trace_vqe_{side}_k{k}_r{i}.csv" for side in sides for k in (1, 2) for i in runs
+        }
+        assert {path.name for path in (tmp_path / "sc").glob("trace_*")} == {
+            f"trace_vqe_{side}_r{i}.csv" for side in sides for i in runs
+        }
+
     @pytest.mark.parametrize(
         "one_type, cost_weight, selected",
         [
@@ -719,6 +757,25 @@ class TestCli:
         assert cli_main(["solve", "--roi", str(roi), "--config", str(cfg), "--outdir", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert config["roi_path"] is None and config["synthetic"]["extent"] == 6.0
+
+    def test_config_file_spec_maps_override_only_the_fields_they_name(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({"synthetic": {"spacing": 1.0}, "vehicle": {"width": 2.0}}))
+
+        def config_of(*flags):
+            return _run_config(build_parser().parse_args(["solve", *flags, "--config", str(cfg)]))
+
+        # the file's maps override the flag-given specs field by field
+        config = config_of("--synthetic-extent", "6", "--vehicle-length", "5")
+        assert config.synthetic == SyntheticRoiSpec(extent=6.0, spacing=1.0)
+        assert config.vehicle == VehicleModel(length=5.0, width=2.0)
+        # without flags they override the dataclass defaults
+        config = config_of()
+        assert config.synthetic == SyntheticRoiSpec(spacing=1.0) and config.vehicle == VehicleModel(width=2.0)
+        # --roi leaves no flag-given synthetic spec: the file's map overrides the default
+        config = config_of("--roi", "x.csv", "--vehicle-length", "5")
+        assert config.roi_path is None and config.synthetic == SyntheticRoiSpec(spacing=1.0)
+        assert config.vehicle == VehicleModel(length=5.0, width=2.0)
 
     def test_config_file_naming_both_cloud_sources_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
@@ -975,6 +1032,8 @@ class TestCli:
             ({"sensor_counts": [1.5]}, [], "sensor_counts"),
             ({"sensor_counts": [0, 1]}, [], "sensor count"),
             ({"orientations": {"front": [0], "left": [0], "right": [0]}}, [], "side back"),
+            # the file's map replaces the flags' angle sets whole
+            ({"orientations": {"front": [0], "left": [0], "right": [0]}}, ["--orientations", "0,30"], "side back"),
             ({"orientations": {"front": [], "back": [0], "left": [0], "right": [0]}}, [], "side front"),
             ({"orientations": {"front": "30", "back": [0], "left": [0], "right": [0]}}, [], "orientations"),
             ({"fov_model": "elliptical"}, [], "fov_model"),
