@@ -11,21 +11,26 @@ batched or how its draws are blocked.
 All reads advance together.  Spins are stored spin-major, as an
 ``(n, reads)`` array.  Uniforms are drawn one block of sweeps at a time
 into a reused ``(reads, block, n)`` buffer, each read's generator
-filling its own rows, and each proposal reads its uniforms where they
-were drawn, as the strided column ``drawn[:, k, i]``.  A block is as
-many sweeps as fit in ``_TAPE_BUDGET`` doubles (8 MB), and at least
-one, so the number of sweeps does not change the memory used; past
-``2**20 / n`` reads the buffer holds one sweep of every read.  The spin
-array, one scratch array of its shape and one generator per read also
-grow with the number of reads.
+filling its own rows.  A block is as many sweeps as fit in
+``_TAPE_BUDGET`` doubles (8 MB), and at least one, and its betas are
+formed with it, so the number of sweeps does not change the memory
+used; past ``2**20 / n`` reads the buffer holds one sweep of every read.
+The spin array, one scratch array of its shape and one generator per
+read also grow with the number of reads.
 
-A sweep steps every spin in index order.  The field on spin i for every
-read is one product of its contiguous row of the dense symmetric
-coupling matrix with the whole spin array, plus its ``h``; both are
-prescaled by the exact factor -2, each sweep scales the spins by -beta
-once, and accepted flips are applied by sign, not through a mask, so
-every accept decision is the one a plain sequential scan makes, bit for
-bit.
+A proposal flips spin i exactly when its energy change dE is below the
+threshold t = -ln(u) / beta of its uniform u, the Metropolis test
+u < exp(-beta dE) with the exponential moved to the draw's side; a zero
+draw gives t = +inf and always flips.  With the couplings and fields
+prescaled by the exact factor -2, f = -2 (J_i s + h_i) gives dE = s_i f.
+Each sweep copies its uniforms spin-major into the scratch array and
+turns them there, while they are in cache, into the levels
+s_i t_i + 2 h_i.  It then steps every spin in index order: the product
+of spin i's contiguous row of the dense symmetric coupling matrix with
+the whole spin array, minus its level, is f - s_i t_i for every read,
+and its sign is the spin's new value.  So a proposal is three numpy
+calls, and it decides as u < exp(-beta dE) does except where rounding
+straddles the test.
 
 Results are returned as a :class:`SampleSet`: unique assignments (as
 bits under the x = (1+z)/2 convention), their model energies and their
@@ -67,11 +72,13 @@ class AnnealSchedule:
         if not (0.0 < self.beta_start < self.beta_end and math.isfinite(self.beta_end / self.beta_start)):
             raise ValueError("need finite 0 < beta_start < beta_end")
 
-    def betas(self) -> NDArray[np.float64]:
+    def betas(self, first: int = 0, count: int | None = None) -> NDArray[np.float64]:
+        """The inverse temperatures of ``count`` sweeps from ``first`` on (all sweeps by default)."""
         k = self.sweeps_per_read
         if k == 1:
             return np.array([self.beta_start])
-        return self.beta_start * (self.beta_end / self.beta_start) ** (np.arange(k) / (k - 1))
+        sweeps = np.arange(first, k if count is None else first + count)
+        return self.beta_start * (self.beta_end / self.beta_start) ** (sweeps / (k - 1))
 
 
 @dataclass(frozen=True)
@@ -162,7 +169,6 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
     n = model.num_spins
     if n == 0:
         raise ValueError("model must have at least one spin")
-    betas = schedule.betas()
     reads, sweeps = schedule.num_reads, schedule.sweeps_per_read
 
     rngs = [_read_rng(schedule.seed, r) for r in range(reads)]
@@ -170,30 +176,34 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
     for r, rng in enumerate(rngs):
         spins[:, r] = rng.integers(0, 2, n) * 2.0 - 1.0
 
-    # scaling by -2 is exact, so (-2 J_i) s + (-2 h_i) has the bits of -2 (J_i s + h_i)
+    # scaling by -2 is exact, so (-2 J_i) s has the bits of -2 (J_i s)
     J = model.J * -2.0
-    h = model.h * -2.0
-    rows = [(spins[i], J[i], float(h[i])) for i in range(n)]
+    h = model.h[:, None] * -2.0
+    levels = np.empty((n, reads))
+    rows = list(zip(spins, J, levels))
 
     block = max(1, min(sweeps, _TAPE_BUDGET // (reads * n)))
     drawn = _mapped_buffer((reads, block, n))
-    scaled = np.empty((n, reads))
     work = np.empty(reads)
-    with np.errstate(over="ignore"):  # a steep downhill move may overflow to inf
+    # a zero draw gives the threshold +inf, as may a beta near the
+    # smallest float: either way the move is accepted
+    with np.errstate(divide="ignore", over="ignore"):
         for first in range(0, sweeps, block):
             size = min(block, sweeps - first)
             for r, rng in enumerate(rngs):
                 rng.random(out=drawn[r, :size])
-            for k in range(size):
-                # a spin changes only at its own step, so its row still
-                # holds -beta * s_i when the sweep reaches it
-                np.multiply(spins, -betas[first + k], out=scaled)
-                for i, (s, J_row, h_i) in enumerate(rows):
-                    np.matmul(J_row, spins, out=work)
-                    work += h_i
-                    work *= scaled[i]
-                    np.exp(work, out=work)
-                    _flip_accepted(s, drawn[:, k, i], work)
+            for k, beta in enumerate(schedule.betas(first, size)):
+                # a spin changes only at its own step, so its level still
+                # holds its own s_i when the sweep reaches it
+                np.copyto(levels, drawn[:, k].T)
+                np.log(levels, out=levels)
+                levels /= -beta
+                levels *= spins
+                levels -= h
+                for s, J_row, level in rows:
+                    np.dot(J_row, spins, out=work)
+                    work -= level
+                    np.copysign(s, work, out=s)
     all_bits = (spins.T > 0.0).astype(np.uint8)
 
     unique, counts = np.unique(all_bits, axis=0, return_counts=True)
@@ -206,25 +216,6 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
         energies=energies[order],
         multiplicities=counts[order].astype(np.int64),
     )
-
-
-# Each step of a sweep takes the prescaled field f = -2 (J_i s + h_i) and
-# accepts a flip iff u < exp(f * (-beta * s_i)), which has the bits of
-# exp(-beta * max(-2 s_i (J_i s + h_i), 0)) for an uphill move: the
-# products by s_i = +-1 and by -2 are exact.  A downhill move has
-# f * (-beta * s_i) >= 0, so exp >= 1 > u and it needs no clamp at 0.
-
-
-def _flip_accepted(s, u, e):
-    """Negate ``s`` where ``u < e``, overwriting ``e``.
-
-    The rounded ``u - e`` has the sign of the exact difference, and is
-    +0 when they are equal, so ``s * (u - e)`` has the sign of the new
-    spin; this is cheaper than a masked negation.
-    """
-    np.subtract(u, e, out=e)
-    e *= s
-    return np.copysign(s, e, out=s)
 
 
 def best_selection(

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from sensorplace import annealer
+from sensorplace import annealer, pipeline
 from sensorplace.annealer import (
     AnnealSchedule,
     anneal,
@@ -18,9 +18,9 @@ from sensorplace.annealer import (
 )
 from sensorplace.coverage import limb_total
 from sensorplace.fixed_count import make_problem
-from sensorplace.geometry import Side
+from sensorplace.geometry import SIDE_ORDER, Side
 from sensorplace.reporting import write_samples_csv
-from sensorplace.setcover import IsingModel, build_iqp, solve_exhaustive_qubo, to_ising
+from sensorplace.setcover import IsingModel, build_iqp, fix_persistent, solve_exhaustive_qubo, to_ising
 
 from annealer_oracle import anneal_read_major
 from conftest import TWO_TYPE_CATALOG, ising_model, side_instance
@@ -30,6 +30,30 @@ from test_setcover import random_qubo
 
 def quick_schedule(seed: int = 0, reads: int = 200, sweeps: int = 150) -> AnnealSchedule:
     return AnnealSchedule(num_reads=reads, sweeps_per_read=sweeps, seed=seed)
+
+
+class StubRng:
+    """A read's real generator for its initial spins, with ``random`` replaced."""
+
+    def __init__(self, seed, read_index):
+        self.rng = _read_rng(seed, read_index)
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+
+class DrawReached(Exception):
+    pass
+
+
+class RaisingRng(StubRng):
+    def random(self, out):
+        raise DrawReached
+
+
+class ZeroRng(StubRng):
+    def random(self, out):
+        out[...] = 0.0
 
 
 class TestAnalyticGroundStates:
@@ -97,6 +121,22 @@ class TestDeterminismAndBookkeeping:
         monkeypatch.setattr(annealer, "_TAPE_BUDGET", 7 * 31 * 8)
         anneal(model, quick_schedule(seed=3, reads=31, sweeps=20))
         assert sizes == [31 * 20 * 8, 31 * 7 * 8]
+
+    def test_a_huge_sweep_count_reaches_its_first_draw(self, monkeypatch):
+        # the betas are formed one block of sweeps at a time, so 10**12
+        # sweeps need no ramp of 10**12 doubles before the first draw
+        monkeypatch.setattr(annealer, "_read_rng", RaisingRng)
+        model = ising_model(np.array([0.5, -0.25]), {(0, 1): 1.0})
+        with pytest.raises(DrawReached):
+            anneal(model, AnnealSchedule(num_reads=1, sweeps_per_read=10**12))
+
+    def test_block_betas_are_slices_of_the_whole_ramp(self):
+        schedule = AnnealSchedule(sweeps_per_read=10**5, beta_start=0.0203, beta_end=69.02)
+        whole = schedule.betas()
+        assert whole[0] == 0.0203 and whole.shape == (10**5,)
+        blocks = [schedule.betas(first, min(54, 10**5 - first)) for first in range(0, 10**5, 54)]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        assert AnnealSchedule(sweeps_per_read=1).betas(0, 1).tolist() == [0.1]
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(1)
@@ -315,6 +355,54 @@ class TestMatchesReadMajorOracle:
         model = to_ising(build_iqp(data, catalog))
         assert model.num_spins == 64
         self.assert_same(model, scaled_schedule(model, num_reads=40, sweeps_per_read=30, seed=8))
+
+
+class TestAcceptRule:
+    """A proposal flips its spin exactly when its energy change is below
+    the threshold -ln(u) / beta of its uniform u."""
+
+    @staticmethod
+    def assert_samples_are(samples, seed, sweeps):
+        # every proposal was accepted, so each spin flipped once per sweep
+        reads, n = int(samples.multiplicities.sum()), samples.assignments.shape[1]
+        bits = np.array([_read_rng(seed, r).integers(0, 2, n) for r in range(reads)], dtype=np.uint8)
+        unique, counts = np.unique(bits ^ (sweeps % 2), axis=0, return_counts=True)
+        got = sorted(zip(map(tuple, samples.assignments), samples.multiplicities.tolist()))
+        assert got == sorted(zip(map(tuple, unique), counts.tolist()))
+
+    @pytest.mark.parametrize("sweeps", [1, 2, 5, 6])
+    def test_a_zero_draw_always_flips(self, monkeypatch, sweeps):
+        # log(0) = -inf makes the threshold +inf, above every finite energy
+        # change, and raises no warning (warnings are errors in this suite)
+        monkeypatch.setattr(annealer, "_read_rng", ZeroRng)
+        model = to_ising(random_qubo(np.random.default_rng(10), 9))
+        samples = anneal(model, quick_schedule(seed=5, reads=30, sweeps=sweeps))
+        self.assert_samples_are(samples, 5, sweeps)
+
+    @pytest.mark.parametrize("sweeps", [1, 4, 7, 10])
+    def test_a_model_without_terms_accepts_every_proposal(self, sweeps):
+        # every energy change is 0, and every threshold is above 0
+        model = ising_model(np.zeros(6), {})
+        samples = anneal(model, quick_schedule(seed=11, reads=40, sweeps=sweeps))
+        self.assert_samples_are(samples, 11, sweeps)
+
+
+class TestMatchesTheExpFormOnDefaultCloudSides:
+    """On the float models of the default cloud's sides, the thresholds
+    make the same decisions as the oracle's u < exp(-beta dE) test."""
+
+    @pytest.mark.parametrize("side", SIDE_ORDER)
+    def test_reduced_side_model(self, side):
+        config = pipeline.RunConfig(approach="setcover", solvers=("anneal",))
+        catalog = pipeline._resolve_catalog(config)
+        data = pipeline._prepare_side(config, pipeline._resolve_cloud(config), catalog, side)
+        reduced, _, _ = fix_persistent(build_iqp(data, catalog, config.coverage_weight, config.cost_weight))
+        model = to_ising(reduced)
+        assert model.num_spins == 48
+        schedule = scaled_schedule(
+            model, num_reads=100, sweeps_per_read=200, seed=pipeline.derive_seed(config.seed, "anneal", side.value)
+        )
+        TestMatchesReadMajorOracle.assert_same(model, schedule)
 
 
 class TestGroundStateRecovery:
