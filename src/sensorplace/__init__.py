@@ -28,7 +28,7 @@ _EXPORTS = {
     "errors": (
         "BudgetExceededError", "ConfigError", "EmptyCloudError", "EmptyFileError",
         "InfeasibleError", "InsufficientSupportError", "MissingSideError",
-        "NoCriticalPointsError", "RoiParseError", "SensorPlaceError",
+        "NoCriticalPointsError", "RoiParseError", "SensorPlaceError", "SizeLimitError",
     ),
     "exports": (),
     "fixed_count": (

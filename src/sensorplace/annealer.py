@@ -12,7 +12,7 @@ All reads advance together.  Spins are stored spin-major, as an
 ``(n, reads)`` array.  Uniforms are drawn one block of sweeps at a time
 into a reused ``(reads, block, n)`` buffer, each read's generator
 filling its own rows.  A block is as many sweeps as fit in
-``_TAPE_BUDGET`` doubles (8 MB), and at least one, and its betas are
+``_BUFFER_BUDGET`` doubles (8 MB), and at least one, and its betas are
 formed with it, so the number of sweeps does not change the memory
 used; past ``2**20 / n`` reads the buffer holds one sweep of every read.
 The spin array, one scratch array of its shape and one generator per
@@ -53,7 +53,7 @@ from .fixed_count import FixedCountProblem, SelectionResult, evaluate_bits
 from .setcover import IsingModel
 
 # Memory cap for the uniform block buffer (doubles).
-_TAPE_BUDGET = 1 << 20
+_BUFFER_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def anneal(model: IsingModel, schedule: AnnealSchedule = AnnealSchedule()) -> Sa
     levels = np.empty((n, reads))
     rows = list(zip(spins, J, levels))
 
-    block = max(1, min(sweeps, _TAPE_BUDGET // (reads * n)))
+    block = max(1, min(sweeps, _BUFFER_BUDGET // (reads * n)))
     drawn = _mapped_buffer((reads, block, n))
     work = np.empty(reads)
     # a zero draw gives the threshold +inf, as may a beta near the

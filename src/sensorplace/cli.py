@@ -77,8 +77,8 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 
 def _parse_grid(text: str) -> tuple[int, int]:
     h, sep, v = text.lower().partition("x")
-    if not (sep and h.isdigit() and v.isdigit() and int(h) > 0 and int(v) > 0):
-        raise ConfigError(f"--grid expects two positive counts as HxV, e.g. 4x4; got {text!r}")
+    if not (sep and h.isdecimal() and v.isdecimal()):
+        raise ConfigError(f"--grid expects two counts as HxV, e.g. 4x4; got {text!r}")
     return int(h), int(v)
 
 

@@ -18,6 +18,11 @@ class BudgetExceededError(SensorPlaceError):
         self.budget = budget
 
 
+class SizeLimitError(SensorPlaceError, ValueError):
+    """A problem lies outside a solver's size limits (qubits, sensor count);
+    also a ValueError, as a value out of its constructor's range."""
+
+
 class InfeasibleError(SensorPlaceError):
     """No selection can satisfy the problem constraints."""
 

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coverage import CoverageData, exact_union_coverage, limb_total
-from .errors import BudgetExceededError, InfeasibleError, SensorPlaceError
+from .errors import BudgetExceededError, InfeasibleError, SensorPlaceError, SizeLimitError
 from .geometry import SensorConfig, config_costs
 
 DEFAULT_COVERAGE_WEIGHT = 1.0
@@ -75,7 +75,7 @@ class FixedCountProblem:
         if not all(0.0 <= w < math.inf for w in (self.coverage_weight, self.cost_weight)):
             raise ValueError("objective weights must be finite and non-negative")
         if self.num_sensors is not None and not 1 <= self.num_sensors <= len(self.position_groups):
-            raise ValueError(
+            raise SizeLimitError(
                 f"num_sensors must be in [1, {len(self.position_groups)}], got {self.num_sensors}"
             )
 
@@ -297,8 +297,8 @@ class SweepOutcome:
 
 
 def sweep_num_sensors(problem: FixedCountProblem, counts, solver=solve_exhaustive) -> SweepOutcome:
-    """Solve the instance once per sensor count (None: the count is free);
-    per-count errors are recorded in the entry instead of aborting the sweep."""
+    """Solve the instance once per sensor count (None: the count is free); a
+    count's SensorPlaceError is recorded in its entry, any other error raised."""
     counts = [None if k is None else int(k) for k in counts]
     if not counts:
         raise ValueError("sweep requires at least one sensor count")
@@ -307,7 +307,7 @@ def sweep_num_sensors(problem: FixedCountProblem, counts, solver=solve_exhaustiv
     for k in counts:
         try:
             res = solver(replace(problem, num_sensors=k))
-        except (SensorPlaceError, ValueError) as exc:
+        except SensorPlaceError as exc:
             entries.append(SweepEntry(k, None, f"{type(exc).__name__}: {exc}"))
             continue
         entries.append(SweepEntry(k, res))

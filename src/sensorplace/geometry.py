@@ -130,8 +130,10 @@ class PlacementGrid:
     """Candidate mount grid on one face.
 
     ``horizontal`` and ``vertical`` count the grid cells along the face's
-    horizontal and vertical axes; candidate positions are the cell
-    centres.  ``orientations`` lists the allowed yaw angles in degrees.
+    horizontal and vertical axes, at least one each; candidate positions
+    are the cell centres.  ``orientations`` lists the allowed yaw angles
+    in degrees: at least one, each finite and none twice, 0 and -0 being
+    one yaw, so that every candidate is enumerated once.
     """
 
     side: Side
@@ -141,9 +143,13 @@ class PlacementGrid:
 
     def __post_init__(self):
         if self.horizontal < 1 or self.vertical < 1:
-            raise ValueError("grid dimensions must be >= 1")
-        if len(self.orientations) == 0:
-            raise ValueError("orientation set must be nonempty")
+            raise ValueError(f"grid needs at least one cell each way, got {self.horizontal}x{self.vertical}")
+        angles = self.orientations
+        if len(angles) == 0 or not all(math.isfinite(a) for a in angles):
+            raise ValueError(f"orientations must be nonempty and finite, got {angles!r}")
+        repeated = next((a for i, a in enumerate(angles) if a in angles[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"orientations lists {repeated!r} more than once")
 
     @property
     def num_positions(self) -> int:

@@ -132,11 +132,11 @@ class RunConfig:
 
 def validate_inputs(config: RunConfig) -> None:
     """Reject, before any compute, mistyped values, invalid pairings,
-    repeated solvers, counts or angles, oversized synthetic grids, invalid
-    placement grids, orientation sets and solver settings, sides of more
-    than :data:`MAX_CANDIDATES` candidates, and weights that could overflow
-    a side's model.  A solver's own size limit is left to its module: a
-    side beyond it gets an error row."""
+    repeated solvers or counts, oversized synthetic grids, invalid solver
+    settings, a side whose :class:`PlacementGrid` rejects the grid or its
+    angles, sides of more than :data:`MAX_CANDIDATES` candidates, and
+    weights that could overflow a side's model.  A solver's own size limit
+    is left to its module: a side beyond it gets an error row."""
     hints = get_type_hints(RunConfig)
     for f in fields(RunConfig):
         value, hint = getattr(config, f.name), hints[f.name]
@@ -147,11 +147,8 @@ def validate_inputs(config: RunConfig) -> None:
         raise ConfigError(f"unknown approach {config.approach!r}")
     if not config.solvers:
         raise ConfigError("at least one solver must be selected")
-    # a repeated solver or count would solve again and write its rows twice,
-    # a repeated angle (0 and -0 included) would enumerate each candidate twice
-    named = [("solvers", config.solvers), ("sensor_counts", config.sensor_counts)]
-    named += [(f"side {s.value} orientations", config.side_orientations(s)) for s in SIDE_ORDER]
-    for name, values in named:
+    # a repeated solver or count would solve again and write its rows twice
+    for name, values in (("solvers", config.solvers), ("sensor_counts", config.sensor_counts)):
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:
             raise ConfigError(f"{name} lists {repeated!r} more than once")
@@ -187,14 +184,13 @@ def validate_inputs(config: RunConfig) -> None:
     for name in ("shots", "num_stochastic_runs"):
         if getattr(config, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(config, name)!r}")
-    if min(config.grid) < 1:
-        raise ConfigError(f"grid must be two positive cell counts, got {config.grid!r}")
     if config.orientation_mode not in ("fixed", "free"):
         raise ConfigError(f"orientation_mode must be 'fixed' or 'free', got {config.orientation_mode!r}")
     for side in SIDE_ORDER:
-        angles = config.side_orientations(side)
-        if not angles or not np.isfinite(angles).all():
-            raise ConfigError(f"side {side.value} needs nonempty finite orientations, got {angles!r}")
+        try:
+            PlacementGrid(side, *config.grid, config.side_orientations(side))
+        except ValueError as exc:
+            raise ConfigError(f"side {side.value} {exc}") from None
     catalog = _resolve_catalog(config)
     h, v = config.grid
     candidates = h * v * len(catalog) * max(len(config.side_orientations(s)) for s in SIDE_ORDER)
@@ -362,7 +358,7 @@ def _solve_side(config: RunConfig, solver: str, side: Side, data: CoverageData, 
             energies = basis_energies(ising)  # shared by every run on this side
             return vqe_runs(None, vqe_ising, ising, free, energies=energies, kept=kept, fixed=fixed)
 
-    # a solver error, its size limit included, becomes its count's row
+    # a SensorPlaceError, a size limit included, becomes its count's row
     outcome = sweep_num_sensors(problem, counts, solver=fn)
     rows = [
         SweepRow(side, e.num_sensors if e.result is None else len(e.result.selected), solver,

@@ -15,7 +15,8 @@ supplies only the measurement of an ansatz state:
 
 * fixed-count mode samples a shot histogram, keeps its most frequent
   feasible basis states as the sensor selection, and scores it with the
-  exact-coverage objective;
+  exact-coverage objective; :meth:`EncodingMap.decode` looks each state
+  up in the table that ``EncodingMap.encode`` builds;
 * spin mode takes the exact expectation of a diagonal spin Hamiltonian
   over the statevector probabilities as its value, answers with the
   best-energy basis state observed along the way, and scores it through
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InsufficientSupportError
+from .errors import InsufficientSupportError, SizeLimitError
 from .fixed_count import (
     FixedCountProblem,
     SelectionResult,
@@ -71,7 +72,7 @@ MAX_QUBITS = 20
 
 def _check_qubits(n: int) -> None:
     if n > MAX_QUBITS:
-        raise ValueError(
+        raise SizeLimitError(
             f"{n} qubits would need a dense vector of 2^{n} amplitudes; "
             f"this simulator is capped at {MAX_QUBITS}. Shrink the grid, type or "
             "orientation sets, or solve classically."
@@ -128,7 +129,7 @@ class AnsatzSpec:
 
     def __post_init__(self):
         if self.num_qubits < 1 or self.num_layers < 1:
-            raise ValueError("need at least one qubit and one layer")
+            raise SizeLimitError("need at least one qubit and one layer")
         angles = self.angles
         if angles is None:
             angles = np.zeros(self.num_qubits * self.num_layers)
@@ -254,9 +255,9 @@ class EncodingMap:
     """Packs (row, column, type, orientation) fields into a basis index.
 
     Field widths are the ceil-log2 of each range; fields are laid out
-    most-significant first in that order.  Basis states whose fields
-    decode outside their valid ranges are infeasible and skipped during
-    selection.
+    most-significant first in that order.  :meth:`decode` looks a basis
+    state up in the table that :meth:`encode` builds, so a state that no
+    candidate encodes decodes to None and is skipped during selection.
     """
 
     horizontal: int
@@ -281,31 +282,20 @@ class EncodingMap:
     def num_configs(self) -> int:
         return self.horizontal * self.vertical * self.num_types * self.num_orientations
 
+    @functools.cached_property
+    def _candidate_of(self) -> dict[int, int]:
+        return {self.encode(i): i for i in range(self.num_configs)}
+
     def decode(self, basis: int) -> int | None:
-        """Candidate index of a basis state, or None when out of range."""
-        widths = self.field_bits
-        limits = (self.horizontal, self.vertical, self.num_types, self.num_orientations)
-        values = []
-        shift = self.num_qubits
-        for width, limit in zip(widths, limits):
-            shift -= width
-            v = (basis >> shift) & ((1 << width) - 1)
-            if v >= limit:
-                return None
-            values.append(v)
-        row, col, t, o = values
-        position = row * self.vertical + col
-        return (t * self.horizontal * self.vertical + position) * self.num_orientations + o
+        """Candidate index of a basis state, or None when no candidate encodes it."""
+        return self._candidate_of.get(basis)
 
     def encode(self, config_index: int) -> int:
-        o = config_index % self.num_orientations
-        rest = config_index // self.num_orientations
-        position = rest % (self.horizontal * self.vertical)
-        t = rest // (self.horizontal * self.vertical)
+        rest, o = divmod(config_index, self.num_orientations)
+        t, position = divmod(rest, self.horizontal * self.vertical)
         row, col = divmod(position, self.vertical)
-        widths = self.field_bits
         basis = 0
-        for width, value in zip(widths, (row, col, t, o)):
+        for width, value in zip(self.field_bits, (row, col, t, o)):
             basis = (basis << width) | value
         return basis
 

@@ -99,7 +99,7 @@ class TestDeterminismAndBookkeeping:
         model = to_ising(random_qubo(rng, 8))
         schedule = quick_schedule(seed=9, reads=31, sweeps=20)
         whole = anneal(model, schedule)
-        monkeypatch.setattr("sensorplace.annealer._TAPE_BUDGET", sweeps_per_block * 31 * 8)
+        monkeypatch.setattr("sensorplace.annealer._BUFFER_BUDGET", sweeps_per_block * 31 * 8)
         blocked = anneal(model, schedule)
         assert np.array_equal(whole.assignments, blocked.assignments)
         assert np.array_equal(whole.energies, blocked.energies)
@@ -118,7 +118,7 @@ class TestDeterminismAndBookkeeping:
         monkeypatch.setattr(annealer, "_mapped_buffer", recorded)
         model = to_ising(random_qubo(np.random.default_rng(8), 8))
         anneal(model, quick_schedule(seed=3, reads=31, sweeps=20))
-        monkeypatch.setattr(annealer, "_TAPE_BUDGET", 7 * 31 * 8)
+        monkeypatch.setattr(annealer, "_BUFFER_BUDGET", 7 * 31 * 8)
         anneal(model, quick_schedule(seed=3, reads=31, sweeps=20))
         assert sizes == [31 * 20 * 8, 31 * 7 * 8]
 
@@ -314,7 +314,7 @@ class TestMatchesReadMajorOracle:
         rng = np.random.default_rng(1500)
         model = to_ising(random_qubo(rng, 11, dyadic=True))
         schedule = quick_schedule(seed=6, reads=25, sweeps=23)
-        monkeypatch.setattr("sensorplace.annealer._TAPE_BUDGET", 7 * 25 * 11)
+        monkeypatch.setattr("sensorplace.annealer._BUFFER_BUDGET", 7 * 25 * 11)
         self.assert_same(model, schedule)
 
     def test_uncoupled_spins_interleaved_with_the_core(self):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sensorplace.coverage import build_coverage, exact_union_coverage, limb_total
-from sensorplace.errors import BudgetExceededError
+from sensorplace.errors import BudgetExceededError, SizeLimitError
 from sensorplace.exports import write_fixed_count_lp
 from sensorplace import fixed_count
 from sensorplace.fixed_count import (
@@ -335,7 +335,7 @@ class TestSolveGreedy:
 
     def test_infeasible_when_positions_exhausted(self):
         _, _, catalog, data = disjoint_instance(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeLimitError):
             # more sensors than positions is rejected at construction
             make_problem(data, catalog, num_sensors=4)
 
@@ -393,8 +393,20 @@ class TestSweep:
         problem = make_problem(data, catalog, num_sensors=1)
         outcome = sweep_num_sensors(problem, [2, 9, 3])
         assert outcome.entries[0].result is not None
-        assert outcome.entries[1].result is None and outcome.entries[1].error
+        assert outcome.entries[1].result is None
+        assert outcome.entries[1].error == "SizeLimitError: num_sensors must be in [1, 3], got 9"
         assert outcome.entries[2].result is not None
+
+    def test_a_solver_fault_ends_the_sweep(self):
+        # only a SensorPlaceError is a count's row: a plain ValueError is a
+        # fault in the solver, not a result
+        _, _, catalog, data = disjoint_instance(3)
+
+        def faulty(problem):
+            raise ValueError("operands could not be broadcast together")
+
+        with pytest.raises(ValueError, match="broadcast"):
+            sweep_num_sensors(make_problem(data, catalog, num_sensors=1), [1, 2], solver=faulty)
 
 
 class TestLpExport:

@@ -156,11 +156,24 @@ class TestGridPositions:
             assert pos[a * 2, 1] == pos[a * 2 + 1, 1]
             assert pos[a * 2, 2] < pos[a * 2 + 1, 2]
 
-    def test_invalid_grid_rejected(self):
-        with pytest.raises(ValueError):
-            PlacementGrid(Side.FRONT, 0, 2)
-        with pytest.raises(ValueError):
-            PlacementGrid(Side.FRONT, 2, 2, ())
+    @pytest.mark.parametrize(
+        "horizontal, vertical, orientations, message",
+        [
+            (0, 2, (0.0,), "at least one cell each way, got 0x2"),
+            (2, 0, (0.0,), "at least one cell each way, got 2x0"),
+            (2, 2, (), "orientations must be nonempty and finite, got \\(\\)"),
+            (1, 2, (0.0, math.nan), "orientations must be nonempty and finite, got \\(0.0, nan\\)"),
+            (1, 2, (math.inf,), "orientations must be nonempty and finite"),
+            (1, 2, (0.0, -math.inf), "orientations must be nonempty and finite"),
+            (1, 2, (30.0, 0.0, 30.0), "orientations lists 30.0 more than once"),
+            # 0 and -0 are one yaw
+            (1, 2, (0.0, -0.0), "orientations lists -0.0 more than once"),
+            (1, 2, (-0.0, 15.0, 0.0), "orientations lists 0.0 more than once"),
+        ],
+    )
+    def test_invalid_grid_rejected(self, horizontal, vertical, orientations, message):
+        with pytest.raises(ValueError, match=message):
+            PlacementGrid(Side.FRONT, horizontal, vertical, orientations)
 
 
 class TestPartition:

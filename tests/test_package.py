@@ -23,14 +23,14 @@ from sensorplace.roi import load_yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: The public names ``sensorplace`` has always exported.
+#: The public names ``sensorplace`` exports.
 PUBLIC_NAMES = {
     "AggregateReport", "AnnealSchedule", "AnsatzSpec", "BudgetExceededError", "ConfigError",
     "CoverageData", "DEFAULT_CATALOG", "EmptyCloudError", "EmptyFileError", "EncodingMap",
     "FixedCountProblem", "InfeasibleError", "InsufficientSupportError", "IsingModel",
     "MissingSideError", "NoCriticalPointsError", "OptimizerConfig", "PlacementGrid",
     "QuadraticModel", "RoiCloud", "RoiParseError", "RunConfig", "SIDE_ORDER", "SampleSet",
-    "SelectionResult", "SensorConfig", "SensorPlaceError", "SensorSpec", "Side",
+    "SelectionResult", "SensorConfig", "SensorPlaceError", "SensorSpec", "Side", "SizeLimitError",
     "SyntheticRoiSpec", "VehicleModel", "adherence", "aggregate", "anneal", "apply_ansatz",
     "approx_coverage", "best_selection", "build_coverage", "build_iqp", "entangler_pairs",
     "enumerate_configs", "evaluate_selection", "exact_union_coverage", "fix_persistent",

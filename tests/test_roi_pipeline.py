@@ -6,6 +6,7 @@ import csv
 import importlib.metadata
 import json
 import math
+import multiprocessing
 import shlex
 from dataclasses import fields
 from pathlib import Path
@@ -422,6 +423,33 @@ class TestRunPipeline:
         assert len(sweep) == 2 + 4 * 2  # stats columns filled for stochastic runs
         assert "n/a" not in sweep[2].split(",")[7]  # runs column populated
 
+    def test_one_candidate_side_gets_size_limit_vqe_rows(self, tmp_path):
+        from sensorplace.roi import save_catalog
+
+        # one cell, type and yaw: the fixed-count VQE would search 0 qubits
+        catalog_path = tmp_path / "one_type.yaml"
+        save_catalog(DEFAULT_CATALOG[:1], catalog_path)
+        config = small_config(tmp_path / "out", solvers=("exhaustive", "vqe"), grid=(1, 1),
+                              sensor_counts=(1,), catalog_path=str(catalog_path), vqe_max_evals=5)
+        run(config)
+        rows = list(csv.DictReader((tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]))
+        assert [r["error"] for r in rows if r["solver"] == "exhaustive"] == [""] * 4
+        assert [r["error"] for r in rows if r["solver"] == "vqe"] == \
+            ["SizeLimitError: need at least one qubit and one layer"] * 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solver_fault_ends_the_run(self, tmp_path, monkeypatch, workers):
+        # a plain ValueError is a fault, not a size limit: no row records it
+        def faulty(problem):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(pipeline, "_worker_count", lambda: workers)
+        monkeypatch.setattr(pipeline, "solve_greedy", faulty)
+        with pytest.raises(ValueError, match="broadcast"):
+            run(small_config(tmp_path / "out", solvers=("greedy",)))
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert multiprocessing.active_children() == []
+
     def test_basis_energies_computed_once_per_side(self, tmp_path, monkeypatch):
         from sensorplace import vqe
 
@@ -798,7 +826,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "bad",
         [["--grid", "4"], ["--grid", "4xa"], ["--grid", "0x2"], ["--orientations", "0,abc"],
-         ["--orientations", "0,nan"], ["--cost-weight", "-1"]],
+         ["--orientations", "0,nan"], ["--cost-weight", "-1"],
+         # a superscript digit is a digit to str.isdigit but not to int()
+         ["--grid", "\u00b2x2"]],
     )
     @pytest.mark.parametrize("command", ["solve", "export-lp", "export-qubo"])
     def test_malformed_values_exit_2(self, tmp_path, capsys, command, bad):
@@ -997,7 +1027,7 @@ class TestCli:
         vqe_rows = [r for r in rows if r["solver"] == "vqe"]
         assert len(anneal_rows) == len(vqe_rows) == 4
         assert all(r["error"] == "" and r["n_sensors"] != "n/a" for r in anneal_rows)
-        assert all(r["error"].startswith("ValueError: ") and "capped at 20" in r["error"] for r in vqe_rows)
+        assert all(r["error"].startswith("SizeLimitError: ") and "capped at 20" in r["error"] for r in vqe_rows)
         assert all(r["n_sensors"] == r["coverage"] == "n/a" for r in vqe_rows)
         selections = json.loads((out / "selections.json").read_text())
         assert all(r is None for r in selections["vqe"].values())
@@ -1114,7 +1144,7 @@ class TestCli:
             # 40 of 64 free
             (["--approach", "setcover", "--solver", "exhaustive"],
              f"BudgetExceededError: exhaustive search would enumerate {2**40}"),
-            (["--approach", "setcover", "--solver", "vqe"], "ValueError: 40 qubits would need a dense vector"),
+            (["--approach", "setcover", "--solver", "vqe"], "SizeLimitError: 40 qubits would need a dense vector"),
         ],
     )
     def test_no_selection_anywhere_exits_2_after_writing_sweep(self, tmp_path, capsys, flags, error):

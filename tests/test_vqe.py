@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from scipy import stats
 
 import sensorplace
 from sensorplace import vqe
-from sensorplace.errors import InsufficientSupportError
+from sensorplace.errors import InsufficientSupportError, SizeLimitError
 from sensorplace.geometry import DEFAULT_CATALOG
 from sensorplace.fixed_count import make_problem, solve_exhaustive
 from sensorplace.reporting import write_trace_csv
@@ -36,7 +37,7 @@ from sensorplace.vqe import (
 )
 
 from conftest import ising_model, random_instance, side_instance
-from vqe_oracle import vqe_fixed_count_loop, vqe_ising_loop
+from vqe_oracle import decode_fields, vqe_fixed_count_loop, vqe_ising_loop
 from statevector_oracle import (
     apply_ansatz_gates,
     apply_ansatz_inverse,
@@ -145,7 +146,7 @@ class TestStatevectorKernels:
         assert abs(out[1] - 1.0) < 1e-12
 
     def test_qubit_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeLimitError, match="capped at 20"):
             uniform_state(21)
 
     def test_angle_count_validated(self):
@@ -303,6 +304,19 @@ class TestEncodingMap:
         assert enc.decode(0b11_0_00) is None
         # type value 3 likewise
         assert enc.decode(0b00_0_11) is None
+
+    def test_decode_matches_the_field_walk_on_every_basis_state(self):
+        # ranges 1-5 x 1-5 x 1-4 x 1-4: 400 encodings, 43,681 basis states,
+        # every field width from 0 to 3 bits and states with none in range
+        states = none = 0
+        for h, v, t, o in itertools.product(range(1, 6), range(1, 6), range(1, 5), range(1, 5)):
+            enc = EncodingMap(h, v, t, o)
+            for basis in range(2**enc.num_qubits):
+                expected = decode_fields(enc, basis)
+                assert enc.decode(basis) == expected, (enc, basis)
+                none += expected is None
+            states += 2**enc.num_qubits
+        assert states == 43_681 and 0 < none < states
 
 
 class TestSelectFeasibleTopK:

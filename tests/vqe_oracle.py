@@ -5,6 +5,10 @@ call and best-answer bookkeeping around a traced, restarted COBYLA
 search.  Fixed-count mode scores the top-k feasible selection of a shot
 histogram; spin mode minimizes the exact expectation of a diagonal spin
 Hamiltonian and keeps the best-energy visible basis state.
+
+:func:`decode_fields` unpacks a basis state's (row, column, type,
+orientation) fields one at a time: the reference for
+``EncodingMap.decode``, which looks the state up in a table instead.
 """
 
 from __future__ import annotations
@@ -28,6 +32,23 @@ from sensorplace.vqe import (
     select_feasible_topk,
     uniform_state,
 )
+
+
+def decode_fields(encoding, basis: int) -> int | None:
+    """Candidate index of a basis state, walking its fields most significant
+    first; None when any field lies outside its range."""
+    limits = (encoding.horizontal, encoding.vertical, encoding.num_types, encoding.num_orientations)
+    values = []
+    shift = encoding.num_qubits
+    for width, limit in zip(encoding.field_bits, limits):
+        shift -= width
+        v = (basis >> shift) & ((1 << width) - 1)
+        if v >= limit:
+            return None
+        values.append(v)
+    row, col, t, o = values
+    position = row * encoding.vertical + col
+    return (t * encoding.horizontal * encoding.vertical + position) * encoding.num_orientations + o
 
 
 def _minimize_traced(fn, num_params, cfg, rng):
